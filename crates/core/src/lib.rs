@@ -119,10 +119,8 @@ pub struct Compiler {
     nursery: Option<usize>,
     infer_constraints: bool,
     backend: Backend,
-    // Dispatch-engine ablation knobs, stored negated so `Default` (false)
-    // means both stages are on.
+    // Fusion ablation knob, stored negated so `Default` (false) means on.
     no_fuse: bool,
-    no_quicken: bool,
 }
 
 impl Compiler {
@@ -201,15 +199,6 @@ impl Compiler {
         self
     }
 
-    /// Enables or disables IC-guided quickening in spawned VMs (on by
-    /// default). Quickening rewrites are strict one-for-one instruction
-    /// replacements, so even `Stats::steps` is unchanged; only
-    /// `Stats::{quickened, dequickened}` and inline-cache counters move.
-    pub fn with_quickening(mut self, on: bool) -> Self {
-        self.no_quicken = !on;
-        self
-    }
-
     /// Parses and type-checks `src`.
     ///
     /// # Errors
@@ -235,7 +224,6 @@ impl Compiler {
             nursery: self.nursery,
             backend: self.backend,
             no_fuse: self.no_fuse,
-            no_quicken: self.no_quicken,
             bytecode: std::sync::OnceLock::new(),
             timings: CompileTimings { parse_us, check_us },
         })
@@ -264,7 +252,6 @@ pub struct Compiled {
     nursery: Option<usize>,
     backend: Backend,
     no_fuse: bool,
-    no_quicken: bool,
     /// Lazily lowered bytecode, shared (via `Arc`) by every VM run of
     /// this program — including worker VMs on other threads.
     bytecode: std::sync::OnceLock<std::sync::Arc<jns_vm::VmProgram>>,
@@ -457,12 +444,11 @@ impl Compiled {
     }
 
     /// Spawns a fresh VM over this program's (lazily compiled, shared)
-    /// bytecode, with the compile-time quickening knob applied. The VM
-    /// borrows `self`; callers that want to reuse one VM across many
-    /// top-level invocations should pair `Vm::run` with
+    /// bytecode. The VM borrows `self`; callers that want to reuse one VM
+    /// across many top-level invocations should pair `Vm::run` with
     /// `Vm::reset_for_request` so the heap stays flat.
     pub fn spawn_vm(&self) -> jns_vm::Vm<'_> {
-        jns_vm::Vm::new(&self.program, self.bytecode().as_ref()).with_quickening(!self.no_quicken)
+        jns_vm::Vm::new(&self.program, self.bytecode().as_ref())
     }
 
     /// A `Send` handle for fanning this program out to worker threads:
@@ -475,7 +461,6 @@ impl Compiled {
         SharedProgram {
             program: self.program.clone(),
             code: std::sync::Arc::clone(self.bytecode()),
-            quicken: !self.no_quicken,
         }
     }
 
@@ -501,17 +486,16 @@ impl Compiled {
 pub struct SharedProgram {
     program: CheckedProgram,
     code: std::sync::Arc<jns_vm::VmProgram>,
-    quicken: bool,
 }
 
 impl SharedProgram {
     /// Spawns a VM borrowing this handle. A worker thread typically owns
     /// one `SharedProgram`, spawns one VM, and calls
     /// [`jns_vm::Vm::reset_for_request`] between requests. Each worker VM
-    /// quickens into its *own* chunk copies; the shared `Arc<VmProgram>`
-    /// is never written.
+    /// keeps its own caches and mask pool; the shared `Arc<VmProgram>` is
+    /// never written.
     pub fn spawn_vm(&self) -> jns_vm::Vm<'_> {
-        jns_vm::Vm::new(&self.program, self.code.as_ref()).with_quickening(self.quicken)
+        jns_vm::Vm::new(&self.program, self.code.as_ref())
     }
 
     /// The checked program backing this handle.

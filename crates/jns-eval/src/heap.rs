@@ -585,19 +585,13 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::MaskSet;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    fn no_masks() -> MaskSet {
-        Arc::new(BTreeSet::new())
-    }
+    use crate::value::MaskId;
 
     fn rv(loc: Loc) -> RefVal {
         RefVal {
             loc,
             view: ClassId::ROOT,
-            masks: no_masks(),
+            masks: MaskId::EMPTY,
         }
     }
 

@@ -35,7 +35,7 @@
 use crate::error::RtError;
 use crate::heap::Heap;
 use crate::typeeval;
-use crate::value::{Loc, MaskSet, RefVal, Value};
+use crate::value::{Loc, MaskPool, RefVal, Value};
 use jns_syntax::{BinOp, UnOp};
 use jns_types::{CExpr, CheckedProgram, ClassId, Judge, Name, Ty, Type, TypeEnv};
 use std::collections::{BTreeSet, HashMap};
@@ -59,10 +59,14 @@ pub struct Stats {
     pub ic_hits: u64,
     /// Inline-cache misses (resolutions through the global tables).
     pub ic_misses: u64,
-    /// Fresh mask-set materialisations. The VM interns view-transition
-    /// mask sets, so repeated transitions reuse one `Arc` and this stays
-    /// far below `views_explicit + views_implicit`; the tree-walker pays
-    /// one per transition.
+    /// Mask-set materialisations. The tree-walker counts the points
+    /// where the semantics builds a set: one per view transition, one per
+    /// `grant` that removes a mask, and two per allocation (the F-OK
+    /// `this` set and the object's final set). The VM counts one per
+    /// allocation (the F-OK set) plus one per *fresh* entry in its
+    /// [`MaskPool`] — repeated transitions reuse pooled ids, so this stays
+    /// far below `views_explicit + views_implicit`, and a warm VM (the
+    /// pool survives `reset_for_request`) pays fewer still.
     pub mask_allocs: u64,
     /// Tracing collections run by the shared heap (0 with no
     /// `--heap-limit`; see [`crate::heap::Heap`]).
@@ -78,12 +82,12 @@ pub struct Stats {
     /// Superinstructions fused at lowering time (VM backend only; like
     /// `folded`, a property of the compiled program).
     pub fused: u64,
-    /// Sites rewritten into their quickened form after staying
-    /// monomorphic (VM backend only; counts install events, so a site
-    /// that de-quickens and re-quickens counts each time).
+    /// Retired: always 0. Counted sites rewritten by the VM's former
+    /// IC-guided quickening pass, which was removed; the field stays so
+    /// readers of the counter set keep compiling.
     pub quickened: u64,
-    /// Quickened sites restored to their generic form by a view-guard
-    /// failure (VM backend only).
+    /// Retired: always 0. Counted de-quickened sites of the removed
+    /// quickening pass.
     pub dequickened: u64,
     /// Minor (nursery) collections run by the shared heap (0 unless a
     /// `--nursery` is configured alongside a heap limit).
@@ -162,6 +166,9 @@ pub struct Machine<'p> {
     depth: u32,
     max_depth: u32,
     sub_memo: HashMap<(ClassId, Ty), bool>,
+    /// Interned mask sets of every reference this machine creates; like
+    /// `sub_memo`, survives [`Machine::reset_for_request`].
+    pub(crate) masks: MaskPool,
     /// Optional structured-event sink (`None` keeps every hook a single
     /// branch, with byte-identical outputs and statistics).
     trace: Option<jns_obs::TraceBuffer>,
@@ -353,6 +360,7 @@ impl<'p> Machine<'p> {
             depth: 0,
             max_depth: DEFAULT_MAX_DEPTH,
             sub_memo: HashMap::new(),
+            masks: MaskPool::default(),
             trace: None,
         }
     }
@@ -403,8 +411,8 @@ impl<'p> Machine<'p> {
     /// Region-style reclamation between top-level invocations (the same
     /// surface as `jns_vm::Vm::reset_for_request`): drops every heap
     /// object and clears per-request state — output, statistics, call
-    /// depth — while keeping the subtype memo warm. Returns the number of
-    /// heap objects reclaimed.
+    /// depth — while keeping the subtype memo and mask pool warm. Returns
+    /// the number of heap objects reclaimed.
     pub fn reset_for_request(&mut self) -> usize {
         let reclaimed = self.heap.reset();
         self.output.clear();
@@ -609,16 +617,16 @@ impl<'p> Machine<'p> {
                     }
                     Kont::SetField { x, f } => {
                         let v = vals.pop().expect("setfield value");
-                        let Some(Value::Ref(r)) = frame.get(&x).cloned() else {
+                        let Some(Value::Ref(r)) = frame.get_mut(&x) else {
                             return Err(RtError::UnboundVariable(self.prog.table.name_str(x)));
                         };
                         let copy = self.prog.sharing.fclass(r.view, f);
                         self.heap.set(r.loc, copy, None, f, v.clone());
                         // grant(σ, x.f): the stack binding loses the mask (R-SET).
-                        if let Some(Value::Ref(r2)) = frame.get_mut(&x) {
-                            if r2.grant(&f) {
-                                self.stats.mask_allocs += 1;
-                            }
+                        let (granted, _) = self.masks.grant(r.masks, f);
+                        if granted != r.masks {
+                            r.masks = granted;
+                            self.stats.mask_allocs += 1;
                         }
                         vals.push(v);
                     }
@@ -706,10 +714,7 @@ impl<'p> Machine<'p> {
                                 // Each initialiser runs in its own frame
                                 // holding only `this`.
                                 let mut f = Frame::new();
-                                f.insert(
-                                    self.prog.table.this_name,
-                                    Value::Ref(st.this_ref.clone()),
-                                );
+                                f.insert(self.prog.table.this_name, Value::Ref(st.this_ref));
                                 *frame = f;
                                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
                                 ctrl.push(Work::Eval(init));
@@ -967,7 +972,7 @@ impl<'p> Machine<'p> {
         let this_ref = RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks.clone()),
+            masks: self.masks.intern(masks.clone()).0,
         };
         // Declared initialisers, base-most classes first.
         let inits: Vec<(Name, &'a CExpr)> = all_fields
@@ -1000,7 +1005,7 @@ impl<'p> Machine<'p> {
                     saved: Frame::new(),
                 });
                 let mut f0 = Frame::new();
-                f0.insert(prog.table.this_name, Value::Ref(st.this_ref.clone()));
+                f0.insert(prog.table.this_name, Value::Ref(st.this_ref));
                 st.saved = std::mem::replace(frame, f0);
                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
                 ctrl.push(Work::Eval(first));
@@ -1026,7 +1031,7 @@ impl<'p> Machine<'p> {
         Value::Ref(RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks),
+            masks: self.masks.intern(masks).0,
         })
     }
 
@@ -1096,8 +1101,8 @@ impl<'p> Machine<'p> {
     // -------------------------------------------------------------- views
 
     /// The `view` function (§4.15): re-views `r` at target type `target`.
-    /// The tree-walker materialises one shared mask set per transition
-    /// (the VM interns them instead — see `Stats::mask_allocs`).
+    /// The tree-walker counts one mask-set materialisation per transition
+    /// (see `Stats::mask_allocs`).
     pub fn apply_view(
         &mut self,
         r: RefVal,
@@ -1105,9 +1110,9 @@ impl<'p> Machine<'p> {
         masks: BTreeSet<Name>,
     ) -> Result<RefVal, RtError> {
         self.stats.mask_allocs += 1;
-        let masks: MaskSet = Arc::new(masks);
+        let (masks, _) = self.masks.intern(masks);
         // Case 1: current view already compatible.
-        if self.view_subtype(r.view, target) && r.masks.is_subset(&masks) {
+        if self.view_subtype(r.view, target) && self.masks.is_subset(r.masks, masks) {
             return Ok(RefVal {
                 loc: r.loc,
                 view: r.view,
@@ -1235,7 +1240,7 @@ impl<'p> Machine<'p> {
                 let Ok((ty, masks)) = self.field_view_type(view, f) else {
                     continue;
                 };
-                if self.apply_view(inner.clone(), &ty, masks).is_err() {
+                if self.apply_view(inner, &ty, masks).is_err() {
                     bad.push(format!(
                         "heap[{loc}, {}, {}] holds `{}` not viewable at `{}`",
                         self.prog.table.class_name(copy),

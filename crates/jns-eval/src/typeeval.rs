@@ -13,17 +13,22 @@
 
 use crate::error::RtError;
 use crate::machine::Machine;
-use crate::value::{RefVal, Value};
+use crate::value::{MaskId, RefVal, Value};
 use jns_types::{CheckedProgram, ClassId, Name, Ty};
 use std::collections::{BTreeSet, HashMap};
 
 /// What type evaluation needs from an execution backend: field reads
 /// (for dependent paths `p.f1…fn.class`, which follow the backend's own
-/// heap and view-change machinery) and the program being run.
+/// heap and view-change machinery), the mask sets behind its references'
+/// interned ids (for `p.class`), and the program being run.
 pub trait TypeEvalCtx {
     /// Reads `r.f` through `r`'s view, with the backend's lazy implicit
     /// view change applied to the result.
     fn read_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError>;
+
+    /// The mask set behind an id minted by this backend's
+    /// [`crate::MaskPool`].
+    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name>;
 
     /// The checked program being executed.
     fn checked_program(&self) -> &CheckedProgram;
@@ -32,6 +37,10 @@ pub trait TypeEvalCtx {
 impl TypeEvalCtx for Machine<'_> {
     fn read_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError> {
         self.get_field(r, f)
+    }
+
+    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name> {
+        self.masks.get(id)
     }
 
     fn checked_program(&self) -> &CheckedProgram {
@@ -87,14 +96,14 @@ fn go<C: TypeEvalCtx>(
             for f in &path.fields {
                 let r = v
                     .as_ref_val()
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| RtError::TypeMismatch("path through primitive".into()))?;
                 v = ctx.read_field(&r, *f)?;
             }
             let r = v
                 .as_ref_val()
                 .ok_or_else(|| RtError::TypeMismatch("`.class` of primitive".into()))?;
-            masks.extend(r.masks.iter().copied());
+            masks.extend(ctx.mask_set(r.masks).iter().copied());
             Ty::Class(r.view).exact()
         }
         Ty::Nested(inner, c) => {

@@ -3,8 +3,10 @@
 //!
 //! Values are `Send + Sync` so one compiled program can serve many
 //! requests from a pool of worker threads (`jns-serve`): strings are
-//! `Arc<str>`, and mask sets are shared `Arc<BTreeSet<_>>`s that are only
-//! deep-copied when a `grant` actually shrinks a shared set.
+//! `Arc<str>`, and a reference's mask set is a [`MaskId`] — a `u32`
+//! index into the executing machine's [`MaskPool`]. [`RefVal`] is
+//! therefore `Copy`: loading, storing, and re-viewing a reference moves
+//! three words and touches no reference count.
 //!
 //! # Teardown is iterative by construction
 //!
@@ -22,41 +24,123 @@
 //! `jns_types::CExpr`.
 
 use jns_types::{ClassId, Name};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
 /// A heap location ℓ.
 pub type Loc = u32;
 
-/// A shared (interned or at least reference-counted) mask set. View
-/// transitions hand the same set to many references; `grant` uses
-/// copy-on-write.
-pub type MaskSet = Arc<BTreeSet<Name>>;
+/// An interned mask set: an index into the [`MaskPool`] of the machine
+/// that produced it. Ids are only meaningful within one pool; id 0 is
+/// always ∅.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MaskId(u32);
+
+impl MaskId {
+    /// The empty mask set (every field readable).
+    pub const EMPTY: MaskId = MaskId(0);
+
+    /// Whether this is the empty set (decidable without the pool).
+    pub fn is_empty(self) -> bool {
+        self == MaskId::EMPTY
+    }
+}
+
+/// Interned mask sets, one [`MaskId`] per distinct set. A monotone cache:
+/// entries are never removed, so a pool survives per-request resets the
+/// way inline caches do, and the two set operations the semantics needs
+/// — `grant(σ, x.f)` and the `⊆` test of the `view` function — are
+/// memoised on ids.
+#[derive(Debug)]
+pub struct MaskPool {
+    sets: Vec<BTreeSet<Name>>,
+    ids: HashMap<BTreeSet<Name>, MaskId>,
+    grants: HashMap<(MaskId, Name), MaskId>,
+    subsets: HashMap<(MaskId, MaskId), bool>,
+}
+
+impl Default for MaskPool {
+    fn default() -> Self {
+        MaskPool {
+            sets: vec![BTreeSet::new()],
+            ids: HashMap::from([(BTreeSet::new(), MaskId::EMPTY)]),
+            grants: HashMap::new(),
+            subsets: HashMap::new(),
+        }
+    }
+}
+
+impl MaskPool {
+    /// Interns `set`; `true` means it was not in the pool before (a
+    /// fresh entry).
+    pub fn intern(&mut self, set: BTreeSet<Name>) -> (MaskId, bool) {
+        if set.is_empty() {
+            return (MaskId::EMPTY, false);
+        }
+        if let Some(&id) = self.ids.get(&set) {
+            return (id, false);
+        }
+        let id = MaskId(self.sets.len() as u32);
+        self.sets.push(set.clone());
+        self.ids.insert(set, id);
+        (id, true)
+    }
+
+    /// The set an id denotes.
+    pub fn get(&self, id: MaskId) -> &BTreeSet<Name> {
+        &self.sets[id.0 as usize]
+    }
+
+    /// `grant(σ, x.f)`: `id` without `f` (memoised). Granting a field
+    /// that is not masked returns `id` itself; `true` means the result
+    /// is a fresh entry.
+    pub fn grant(&mut self, id: MaskId, f: Name) -> (MaskId, bool) {
+        if id.is_empty() {
+            return (id, false);
+        }
+        if let Some(&g) = self.grants.get(&(id, f)) {
+            return (g, false);
+        }
+        let set = self.get(id);
+        let (g, fresh) = if set.contains(&f) {
+            let mut rest = set.clone();
+            rest.remove(&f);
+            self.intern(rest)
+        } else {
+            (id, false)
+        };
+        self.grants.insert((id, f), g);
+        (g, fresh)
+    }
+
+    /// Whether `a ⊆ b` (memoised).
+    pub fn is_subset(&mut self, a: MaskId, b: MaskId) -> bool {
+        if a == b || a.is_empty() {
+            return true;
+        }
+        if b.is_empty() {
+            return false;
+        }
+        if let Some(&s) = self.subsets.get(&(a, b)) {
+            return s;
+        }
+        let s = self.get(a).is_subset(self.get(b));
+        self.subsets.insert((a, b), s);
+        s
+    }
+}
 
 /// A reference value ⟨ℓ, P!\f⟩: identity (`loc`) plus behaviour (`view`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefVal {
     /// The heap location — object identity, preserved across view changes.
     pub loc: Loc,
     /// The current view: the exact class this reference sees.
     pub view: ClassId,
-    /// Masked (unreadable) fields of this reference (shared, copy-on-write).
-    pub masks: MaskSet,
-}
-
-impl RefVal {
-    /// `grant(σ, x.f)`: removes the mask on `f`, cloning the shared set
-    /// only when it actually contains `f`. Returns `true` if a deep copy
-    /// of the mask set was made (for allocation accounting).
-    pub fn grant(&mut self, f: &Name) -> bool {
-        if !self.masks.contains(f) {
-            return false;
-        }
-        let copied = Arc::strong_count(&self.masks) > 1;
-        Arc::make_mut(&mut self.masks).remove(f);
-        copied
-    }
+    /// Masked (unreadable) fields of this reference, interned in the
+    /// executing machine's [`MaskPool`].
+    pub masks: MaskId,
 }
 
 /// A run-time value.
@@ -122,8 +206,77 @@ impl fmt::Display for Value {
 
 // Runtime values cross thread boundaries in `jns-serve`; keep them
 // `Send + Sync` (compile error here = a non-shareable type crept in).
+// `RefVal` must stay `Copy`: the VM's hot path relies on references
+// moving without reference-count traffic.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
+    fn assert_copy<T: Copy>() {}
     assert_send_sync::<Value>();
     assert_send_sync::<RefVal>();
+    assert_copy::<RefVal>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn set(names: &[u32]) -> BTreeSet<Name> {
+        names.iter().map(|&n| Name(n)).collect()
+    }
+
+    #[test]
+    fn empty_set_is_id_zero() {
+        let mut pool = MaskPool::default();
+        assert_eq!(pool.intern(BTreeSet::new()), (MaskId::EMPTY, false));
+        assert!(pool.get(MaskId::EMPTY).is_empty());
+    }
+
+    #[test]
+    fn intern_dedups() {
+        let mut pool = MaskPool::default();
+        let (a, fresh) = pool.intern(set(&[1, 2]));
+        assert!(fresh);
+        assert_ne!(a, MaskId::EMPTY);
+        assert_eq!(pool.intern(set(&[2, 1])), (a, false));
+        let (b, fresh) = pool.intern(set(&[1]));
+        assert!(fresh);
+        assert_ne!(a, b);
+        assert_eq!(pool.get(a), &set(&[1, 2]));
+    }
+
+    #[test]
+    fn grant_is_memoised_and_interns_its_result() {
+        let mut pool = MaskPool::default();
+        let (a, _) = pool.intern(set(&[1, 2]));
+        let (g, fresh) = pool.grant(a, Name(1));
+        assert!(fresh, "{{2}} was not in the pool yet");
+        assert_eq!(pool.get(g), &set(&[2]));
+        assert_eq!(pool.grant(a, Name(1)), (g, false), "memo hit");
+        assert_eq!(pool.intern(set(&[2])), (g, false), "same entry as intern");
+        let (none, fresh) = pool.grant(g, Name(2));
+        assert_eq!((none, fresh), (MaskId::EMPTY, false));
+    }
+
+    #[test]
+    fn grant_of_an_absent_field_returns_the_same_id() {
+        let mut pool = MaskPool::default();
+        let (a, _) = pool.intern(set(&[1, 2]));
+        assert_eq!(pool.grant(a, Name(9)), (a, false));
+        assert_eq!(pool.grant(MaskId::EMPTY, Name(1)), (MaskId::EMPTY, false));
+    }
+
+    #[test]
+    fn subset_matches_the_sets() {
+        let mut pool = MaskPool::default();
+        let (ab, _) = pool.intern(set(&[1, 2]));
+        let (a, _) = pool.intern(set(&[1]));
+        let (c, _) = pool.intern(set(&[3]));
+        assert!(pool.is_subset(MaskId::EMPTY, ab));
+        assert!(pool.is_subset(a, ab));
+        assert!(pool.is_subset(a, ab), "memoised answer agrees");
+        assert!(!pool.is_subset(ab, a));
+        assert!(!pool.is_subset(c, ab));
+        assert!(!pool.is_subset(a, MaskId::EMPTY));
+        assert!(pool.is_subset(ab, ab));
+    }
+}

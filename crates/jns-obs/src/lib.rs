@@ -22,8 +22,8 @@
 //! - **[`RunProfile`]** — stable-schema (`jns-profile/1`) machine-readable
 //!   profile export: flat counters, per-chunk instruction counts, per-site
 //!   IC hit/miss attribution, histograms, and (optionally) the sampling
-//!   profiler's collapsed stacks. This is the input format the IC-guided
-//!   quickening pass consumes.
+//!   profiler's collapsed stacks. This is the format offline analyses
+//!   and the bench trajectory consume.
 //! - **[`stats`] / [`bench`]** — the measurement discipline behind the
 //!   performance trajectory: repeated-run sampling with warmup, robust
 //!   median/min/MAD summaries, a noise-tolerant baseline comparator, and

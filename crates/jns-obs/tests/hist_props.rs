@@ -89,7 +89,7 @@ proptest! {
     }
 
     /// The JSON encoding round-trips through the parser with the bucket
-    /// counts intact (what the quickening pass will read back).
+    /// counts intact (what an offline analysis will read back).
     #[test]
     fn json_round_trip_preserves_buckets(
         seeds in prop::collection::vec(any::<u64>(), 0..100),

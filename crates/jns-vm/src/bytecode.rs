@@ -200,49 +200,6 @@ pub enum Instr {
         /// Inline-cache id.
         ic: u32,
     },
-
-    // --- quickened forms (IC-guided; installed *per VM* at run time) ---
-    //
-    // Never present in a compiled `VmProgram`: when a site's inline cache
-    // stays monomorphic long enough, the VM rewrites its private copy of
-    // the chunk (`VmProgram` is shared across serve workers and stays
-    // untouched) into one of these, which guard only the receiver view
-    // and otherwise go straight to the resolved slot/chunk. A guard
-    // failure restores the generic instruction (de-quickening).
-    /// Quickened `GetField`: `q` indexes the VM's quick table.
-    GetFieldQ {
-        /// Quick-table entry (holds expected view + resolved read path).
-        q: u32,
-    },
-    /// Quickened `LoadGetField`.
-    LoadGetFieldQ {
-        /// Frame slot of the receiver.
-        slot: u16,
-        /// Quick-table entry.
-        q: u32,
-    },
-    /// Quickened `SetField` (only installed when the receiver local is in
-    /// scope).
-    SetFieldQ {
-        /// Frame slot of the receiver.
-        local: u16,
-        /// Quick-table entry (expected view + resolved write path).
-        q: u32,
-    },
-    /// Quickened `Call` (arity pre-validated at quickening time).
-    CallQ {
-        /// Number of arguments.
-        argc: u16,
-        /// Quick-table entry (expected view + target chunk).
-        q: u32,
-    },
-    /// Quickened `LoadCall`.
-    LoadCallQ {
-        /// Frame slot of the receiver.
-        slot: u16,
-        /// Quick-table entry.
-        q: u32,
-    },
 }
 
 /// A compiled body: `main`, one method, or one field initialiser.
@@ -265,9 +222,8 @@ pub struct TypeEntry {
     /// The (possibly dependent) pure type.
     pub ty: Ty,
     /// Masks declared on the source type (`T\f`), empty for `new` types.
-    /// Interned: entries with the same mask set share one `Arc`, so a view
-    /// transition hands out a pointer instead of cloning a `BTreeSet`.
-    pub masks: Arc<BTreeSet<Name>>,
+    /// The VM interns them into its own mask pool on first use.
+    pub masks: BTreeSet<Name>,
     /// Frame slots of the dependent path roots (`None` = not in scope,
     /// which surfaces as the interpreter's unbound-variable error).
     pub bindings: Vec<(Name, Option<u16>)>,
@@ -300,9 +256,6 @@ pub struct VmProgram {
     pub strings: Vec<Arc<str>>,
     /// The type table.
     pub types: Vec<TypeEntry>,
-    /// Number of distinct interned mask sets across the type table (for
-    /// diagnostics; transitions reuse these instead of cloning).
-    pub n_mask_sets: u32,
     /// Operators folded away at lowering time (constant folding over
     /// literal int/bool operands; surfaced as `Stats::folded`).
     pub folded: u64,

@@ -12,15 +12,22 @@
 //! 2. **View-keyed inline caches** (§6.1 "lazily synthesised vtables").
 //!    Every field-read, field-write, and call site carries a small cache
 //!    keyed by the receiver's view. A hit costs a linear scan of one or
-//!    two entries; a miss resolves through the shared global tables and
-//!    installs the result. This mirrors how the paper's classloader
-//!    synthesises a vtable per (class, view) pair on first use.
-//! 3. **Memoised view changes** (§6.3). The `view` function's two
-//!    questions — "is the current view already compatible?" and "which
-//!    partner sits under the target?" — depend only on (view, target
-//!    type), so both are memoised, as is the interpreted field type that
-//!    drives lazy implicit view changes. Re-viewing the same reference
-//!    shape twice costs two hash lookups.
+//!    two `(view, index)` entries — a field-read entry indexes the VM's
+//!    table of resolved read paths, a call entry names the target chunk —
+//!    so a hit copies two words and touches no reference count; a miss
+//!    resolves through the shared global tables and installs the result.
+//!    This mirrors how the paper's classloader synthesises a vtable per
+//!    (class, view) pair on first use.
+//! 3. **Memoised view changes over interned masks** (§6.3). The `view`
+//!    function's two questions — "is the current view already
+//!    compatible?" and "which partner sits under the target?" — depend
+//!    only on (view, target type), so both are memoised, as is the
+//!    interpreted field type that drives lazy implicit view changes.
+//!    Mask sets are interned in the VM's [`MaskPool`] and references
+//!    carry a `u32` [`MaskId`], so [`RefVal`] is `Copy`: loading a
+//!    reference, re-viewing it, and the mask-subset test (an id compare
+//!    in the common case, memoised otherwise) move plain words. The pool
+//!    is a monotone cache that survives [`Vm::reset_for_request`].
 //!
 //! Observable behaviour (printed output, final value, error variants and
 //! messages) matches the tree-walking interpreter; the differential suite
@@ -33,8 +40,7 @@
 //! [`RtError::OutOfFuel`]).
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
-use jns_eval::value::MaskSet;
-use jns_eval::{Heap, Loc, RefVal, RtError, Stats, Value, DEFAULT_MAX_DEPTH};
+use jns_eval::{Heap, Loc, MaskId, MaskPool, RefVal, RtError, Stats, Value, DEFAULT_MAX_DEPTH};
 use jns_syntax::{BinOp, UnOp};
 use jns_types::{CheckedProgram, ClassId, Judge, Name, Ty, TypeEnv};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -43,12 +49,6 @@ use std::sync::Arc;
 /// Inline caches grow up to this many view entries before becoming
 /// megamorphic (falling through to the global tables).
 const IC_CAP: usize = 8;
-
-/// A get/set/call site quickens after this many *consecutive* same-view
-/// resolutions. High enough that short warm-up phases (and the pinned
-/// hit/miss equalities in the test suite) never quicken, low enough that
-/// any hot loop quickens almost immediately.
-const QUICKEN_AFTER: u32 = 16;
 
 /// The union field layout of one sharing group: every field copy
 /// `(fclass-owner, field)` of every partner gets a fixed slot.
@@ -69,9 +69,8 @@ struct FieldRes {
     alts: Box<[(ClassId, Option<u32>)]>,
     /// The interpreted field type driving the lazy implicit view change:
     /// interned canonical type + interned mask set (`Err` = the `BadType`
-    /// message). The shared `Arc` makes every implicit view change on
-    /// this path clone a pointer, not a `BTreeSet`.
-    ft: Result<(u32, MaskSet), String>,
+    /// message).
+    ft: Result<(u32, MaskId), String>,
 }
 
 /// Resolved write path for a (view, field) pair.
@@ -109,45 +108,11 @@ enum Flow {
     Next,
     /// `pc` was rewritten within the same chunk (a taken jump).
     Jump,
-    /// The activation changed (call, return) or its instruction stream
-    /// was rewritten (quickening): `pc` is already correct, reload the
-    /// stream before continuing.
+    /// The activation changed (call, return): `pc` is already correct,
+    /// reload the stream before continuing.
     Switch,
     /// The outermost activation of this invocation returned.
     Done(Value),
-}
-
-/// One quickened site: the view the site was monomorphic for plus the
-/// pre-resolved action. Guarding is one view comparison; anything else
-/// de-quickens back to the generic instruction.
-#[derive(Debug)]
-enum Quick {
-    /// Direct field read.
-    Get {
-        view: ClassId,
-        res: Arc<FieldRes>,
-        f: Name,
-    },
-    /// Direct slot store.
-    Set { view: ClassId, res: SetRes, f: Name },
-    /// Direct chunk call (arity pre-validated at quickening time).
-    Call { view: ClassId, chunk: usize },
-}
-
-/// `site_quick` key spaces (one per site kind, since ic ids overlap).
-const QK_GET: u8 = 0;
-const QK_SET: u8 = 1;
-const QK_CALL: u8 = 2;
-
-/// Bumps a site's consecutive-same-view counter, restarting it on any
-/// view change. `(ClassId(u32::MAX), 0)` is the never-seen sentinel.
-#[inline]
-fn mono_track(m: &mut (ClassId, u32), view: ClassId) {
-    if m.0 == view {
-        m.1 += 1;
-    } else {
-        *m = (view, 1);
-    }
 }
 
 /// The sampling profiler: every `stride` executed instructions it
@@ -210,39 +175,20 @@ pub struct Vm<'p> {
     /// pop from here instead of allocating fresh local/stack vectors.
     pool: Vec<ExecState>,
 
-    // --- IC-guided quickening (per-VM; the shared `VmProgram` is never
-    // mutated, so serve workers quicken independently) ---
-    /// Whether stable-monomorphic sites rewrite themselves (`--no-quicken`
-    /// turns this off for ablation).
-    quicken: bool,
-    /// Copy-on-quicken instruction streams, one slot per chunk: `None`
-    /// executes the shared chunk, `Some` is this VM's private copy with
-    /// quickened instructions patched in. Warm across
-    /// [`Vm::reset_for_request`], like the inline caches.
-    quick_code: Vec<Option<Arc<[Instr]>>>,
-    /// The quick table ([`Quick`] entries referenced by quickened
-    /// instructions); one slot per quickened site, reused on re-quicken.
-    quicks: Vec<Quick>,
-    /// (kind, ic) → quick-table slot, so a site that de-quickens and
-    /// re-quickens reuses its entry instead of growing the table.
-    site_quick: HashMap<(u8, u32), u32>,
-    /// Consecutive same-view resolutions per field-read site.
-    field_mono: Vec<(ClassId, u32)>,
-    /// Consecutive same-view resolutions per field-write site.
-    set_mono: Vec<(ClassId, u32)>,
-    /// Consecutive same-view resolutions per call site.
-    call_mono: Vec<(ClassId, u32)>,
-
     // --- caches (all monotone; never invalidated by `reset_for_request`,
     // so a reused worker VM stays warm across requests) ---
-    /// Per-site field-read caches, keyed by view.
-    field_ics: Vec<Vec<(ClassId, Arc<FieldRes>)>>,
+    /// Per-site field-read caches, keyed by view; values index
+    /// `field_paths`.
+    field_ics: Vec<Vec<(ClassId, u32)>>,
     /// Per-site field-write caches, keyed by view.
     set_ics: Vec<Vec<(ClassId, SetRes)>>,
     /// Per-site call caches, keyed by view.
     call_ics: Vec<Vec<(ClassId, Option<usize>)>>,
-    /// Global (view, field) read resolutions backing the site caches.
-    field_res: HashMap<(ClassId, Name), Arc<FieldRes>>,
+    /// Global (view, field) read resolutions backing the site caches, as
+    /// indices into `field_paths`.
+    field_res: HashMap<(ClassId, Name), u32>,
+    /// Every resolved read path, in resolution order.
+    field_paths: Vec<FieldRes>,
     /// Global (view, method) dispatch results backing the site caches.
     dispatch: HashMap<(ClassId, Name), Option<usize>>,
     /// Union layouts per class (shared per sharing group).
@@ -256,10 +202,11 @@ pub struct Vm<'p> {
     partner_memo: HashMap<(ClassId, u32), Result<ClassId, PartnerErr>>,
     /// Per type-table entry: interned pre-evaluated (target, full mask
     /// set — dependent ∪ declared).
-    pre_view: Vec<Option<(u32, MaskSet)>>,
-    /// Runtime mask-set interning pool, seeded on demand: distinct sets
-    /// are materialised once (`Stats::mask_allocs`) and shared after.
-    mask_pool: crate::maskpool::MaskPool,
+    pre_view: Vec<Option<(u32, MaskId)>>,
+    /// Interned mask sets of every reference this VM creates: each
+    /// distinct set is materialised once (`Stats::mask_allocs`) and
+    /// shared by id after.
+    mask_pool: MaskPool,
     /// Executed-instruction counter per chunk (profiling hook; survives
     /// `reset_for_request` so a worker accumulates a profile).
     chunk_steps: Vec<u64>,
@@ -297,17 +244,11 @@ impl<'p> Vm<'p> {
             frames: Vec::new(),
             alloc_stack: Vec::new(),
             pool: Vec::new(),
-            quicken: true,
-            quick_code: vec![None; code.chunks.len()],
-            quicks: Vec::new(),
-            site_quick: HashMap::new(),
-            field_mono: vec![(ClassId(u32::MAX), 0); code.n_field_ics as usize],
-            set_mono: vec![(ClassId(u32::MAX), 0); code.n_set_ics as usize],
-            call_mono: vec![(ClassId(u32::MAX), 0); code.n_call_ics as usize],
             field_ics: (0..code.n_field_ics).map(|_| Vec::new()).collect(),
             set_ics: (0..code.n_set_ics).map(|_| Vec::new()).collect(),
             call_ics: (0..code.n_call_ics).map(|_| Vec::new()).collect(),
             field_res: HashMap::new(),
+            field_paths: Vec::new(),
             dispatch: HashMap::new(),
             layouts: HashMap::new(),
             ty_pool: Vec::new(),
@@ -315,7 +256,7 @@ impl<'p> Vm<'p> {
             sub_memo: HashMap::new(),
             partner_memo: HashMap::new(),
             pre_view: vec![None; code.types.len()],
-            mask_pool: Default::default(),
+            mask_pool: MaskPool::default(),
             chunk_steps: vec![0; code.chunks.len()],
             field_ic_hm: vec![[0; 2]; code.n_field_ics as usize],
             set_ic_hm: vec![[0; 2]; code.n_set_ics as usize],
@@ -452,20 +393,6 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Enables or disables IC-guided quickening (enabled by default; the
-    /// CLI's `--no-quicken` ablation knob). Quickening is a pure dispatch
-    /// optimisation: outputs, errors, and every semantic statistic are
-    /// identical either way.
-    pub fn set_quickening(&mut self, on: bool) {
-        self.quicken = on;
-    }
-
-    /// Builder form of [`Vm::set_quickening`].
-    pub fn with_quickening(mut self, on: bool) -> Self {
-        self.set_quickening(on);
-        self
-    }
-
     /// Region-style reclamation between top-level invocations: drops every
     /// object allocated by the previous request (a trivial whole-heap
     /// collection on the shared [`Heap`]) and clears per-request state —
@@ -579,9 +506,9 @@ impl<'p> Vm<'p> {
     /// Per-site inline-cache profile: every get/set/call site in the
     /// program (including never-executed ones), with hit/miss counts and
     /// the number of views cached at the site (its polymorphism degree).
-    /// Sites are named `chunk+pc kind member` so a quickening pass can
-    /// map them back to instructions. Order is stable: all field-get
-    /// sites by id, then field-set sites, then call sites.
+    /// Sites are named `chunk+pc kind member` so each maps back to its
+    /// instruction. Order is stable: all field-get sites by id, then
+    /// field-set sites, then call sites.
     pub fn ic_profile(&self) -> Vec<jns_obs::IcSiteProfile> {
         let mut get_at: Vec<Option<(usize, usize, Name)>> =
             vec![None; self.code.n_field_ics as usize];
@@ -750,16 +677,10 @@ impl<'p> Vm<'p> {
             stack: Vec::with_capacity(8),
         };
         'frame: loop {
-            // The activation's instruction stream: this VM's private
-            // quickened copy when one exists, the shared chunk otherwise.
-            // Cloning the `Arc` keeps the stream alive independently of
-            // `self`, so handlers may rewrite `quick_code` mid-stream;
-            // every rewrite returns [`Flow::Switch`] to reload.
-            let quick = self.quick_code[cur.chunk].clone();
-            let instrs: &[Instr] = match &quick {
-                Some(q) => q,
-                None => &code.chunks[cur.chunk].code,
-            };
+            // The activation's instruction stream, borrowed from the
+            // shared program (never from `self`), so handlers may take
+            // `&mut self`; a call or return reloads it via [`Flow::Switch`].
+            let instrs: &[Instr] = &code.chunks[cur.chunk].code;
             loop {
                 // Attribute the step before the fuel check so the profile
                 // sums to `Stats::steps` even on the OutOfFuel path.
@@ -802,7 +723,7 @@ impl<'p> Vm<'p> {
                     }
                     Instr::GetField { f, ic } => {
                         let v = cur.stack.pop().expect("getfield underflow");
-                        self.op_get(&mut cur, v, *f, *ic, None)?
+                        self.op_get(&mut cur, v, *f, *ic)?
                     }
                     Instr::SetField { local, var, f, ic } => {
                         self.op_set(&mut cur, *local, *var, *f, *ic)?
@@ -876,7 +797,7 @@ impl<'p> Vm<'p> {
                     // --- superinstructions (compile-time fusion) ---
                     Instr::LoadGetField { slot, f, ic } => {
                         let v = cur.locals[*slot as usize].clone();
-                        self.op_get(&mut cur, v, *f, *ic, Some(*slot))?
+                        self.op_get(&mut cur, v, *f, *ic)?
                     }
                     Instr::LoadLoadBin { a, b, op } => {
                         let lv = cur.locals[*a as usize].clone();
@@ -905,19 +826,6 @@ impl<'p> Vm<'p> {
                     Instr::LoadCall { slot, m, ic } => {
                         self.op_load_call(&mut cur, *slot, *m, *ic)?
                     }
-
-                    // --- quickened forms (runtime rewrites) ---
-                    Instr::GetFieldQ { q } => {
-                        let v = cur.stack.pop().expect("getfield underflow");
-                        self.op_get_q(&mut cur, v, *q)?
-                    }
-                    Instr::LoadGetFieldQ { slot, q } => {
-                        let v = cur.locals[*slot as usize].clone();
-                        self.op_get_q(&mut cur, v, *q)?
-                    }
-                    Instr::SetFieldQ { local, q } => self.op_set_q(&mut cur, *local, *q)?,
-                    Instr::CallQ { argc, q } => self.op_call_q(&mut cur, *argc, *q)?,
-                    Instr::LoadCallQ { slot, q } => self.op_load_call_q(&mut cur, *slot, *q)?,
                 };
                 match flow {
                     Flow::Next => cur.pc += 1,
@@ -931,66 +839,17 @@ impl<'p> Vm<'p> {
 
     // ------------------------------------------------------ opcode handlers
 
-    /// Generic field read (`GetField` / `LoadGetField`): `v` is the
-    /// receiver, `slot` its frame slot when the load was fused in. Once
-    /// the site has been monomorphic for [`QUICKEN_AFTER`] consecutive
-    /// resolutions it rewrites itself into the quickened form.
-    fn op_get(
-        &mut self,
-        st: &mut ExecState,
-        v: Value,
-        f: Name,
-        ic: u32,
-        slot: Option<u16>,
-    ) -> Result<Flow, RtError> {
+    /// Field read (`GetField` / `LoadGetField`): `v` is the receiver.
+    fn op_get(&mut self, st: &mut ExecState, v: Value, f: Name, ic: u32) -> Result<Flow, RtError> {
         let r = self.expect_ref(v)?;
         let res = self.site_field_res(ic, r.view, f);
-        let out = self.get_field_resolved(&r, f, &res)?;
+        let out = self.get_field_resolved(&r, f, res)?;
         st.stack.push(out);
-        if self.quicken && self.field_mono[ic as usize].1 >= QUICKEN_AFTER {
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_GET, ic),
-                Quick::Get { view, res, f },
-                |q| match slot {
-                    Some(slot) => Instr::LoadGetFieldQ { slot, q },
-                    None => Instr::GetFieldQ { q },
-                },
-            );
-            st.pc += 1;
-            return Ok(Flow::Switch);
-        }
         Ok(Flow::Next)
     }
 
-    /// Quickened field read: one view comparison guards the pre-resolved
-    /// path; any mismatch de-quickens and re-executes generically.
-    fn op_get_q(&mut self, st: &mut ExecState, v: Value, q: u32) -> Result<Flow, RtError> {
-        if let Value::Ref(r) = &v {
-            if let Quick::Get { view, res, f } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, f, res) = (r.clone(), *f, res.clone());
-                    let out = self.get_field_resolved(&r, f, &res)?;
-                    st.stack.push(out);
-                    return Ok(Flow::Next);
-                }
-            }
-        }
-        let (f, ic) = match self.dequicken(st) {
-            Instr::GetField { f, ic } | Instr::LoadGetField { f, ic, .. } => (f, ic),
-            other => unreachable!("de-quickening non-get {other:?}"),
-        };
-        self.field_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        let flow = self.op_get(st, v, f, ic, None)?;
-        debug_assert!(matches!(flow, Flow::Next));
-        st.pc += 1;
-        Ok(Flow::Switch)
-    }
-
-    /// Generic field write (`SetField`), with the same quickening policy
-    /// as reads (only when the receiver local is in scope).
+    /// Field write (`SetField`): stores through the view of the receiver
+    /// local, then grants `f` on that local.
     fn op_set(
         &mut self,
         st: &mut ExecState,
@@ -1000,73 +859,19 @@ impl<'p> Vm<'p> {
         ic: u32,
     ) -> Result<Flow, RtError> {
         let v = st.stack.pop().expect("setfield underflow");
-        let r = match local.and_then(|s| st.locals.get(s as usize)) {
-            Some(Value::Ref(r)) => r.clone(),
-            _ => return Err(RtError::UnboundVariable(self.prog.table.name_str(var))),
+        let Some(Value::Ref(r)) = local.and_then(|s| st.locals.get_mut(s as usize)) else {
+            return Err(RtError::UnboundVariable(self.prog.table.name_str(var)));
         };
         let res = self.site_set_res(ic, r.view, f);
         self.write_cell(r.loc, res.copy, res.slot, f, v.clone());
-        // grant(σ, x.f): the stack binding loses the mask (copy-on-write:
-        // clones the shared set only when the mask is actually present).
-        let mut mask_copied = false;
-        if let Some(Value::Ref(r2)) = local.and_then(|s| st.locals.get_mut(s as usize)) {
-            mask_copied = r2.grant(&f);
-        }
-        if mask_copied {
-            self.stats.mask_allocs += 1;
-        }
+        // grant(σ, x.f): the stack binding loses the mask (R-SET).
+        r.masks = self.grant_mask(r.masks, f);
         st.stack.push(v);
-        if self.quicken && self.set_mono[ic as usize].1 >= QUICKEN_AFTER {
-            if let Some(slot) = local {
-                let view = r.view;
-                self.install_quick(
-                    st.chunk,
-                    st.pc,
-                    (QK_SET, ic),
-                    Quick::Set { view, res, f },
-                    |q| Instr::SetFieldQ { local: slot, q },
-                );
-                st.pc += 1;
-                return Ok(Flow::Switch);
-            }
-        }
         Ok(Flow::Next)
     }
 
-    /// Quickened field write: guard the receiver local's view, then store
-    /// straight to the resolved slot.
-    fn op_set_q(&mut self, st: &mut ExecState, local: u16, q: u32) -> Result<Flow, RtError> {
-        if let Some(Value::Ref(r)) = st.locals.get(local as usize) {
-            if let Quick::Set { view, res, f } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (loc, res, f) = (r.loc, *res, *f);
-                    let v = st.stack.pop().expect("setfield underflow");
-                    self.write_cell(loc, res.copy, res.slot, f, v.clone());
-                    let mut mask_copied = false;
-                    if let Some(Value::Ref(r2)) = st.locals.get_mut(local as usize) {
-                        mask_copied = r2.grant(&f);
-                    }
-                    if mask_copied {
-                        self.stats.mask_allocs += 1;
-                    }
-                    st.stack.push(v);
-                    return Ok(Flow::Next);
-                }
-            }
-        }
-        let (local, var, f, ic) = match self.dequicken(st) {
-            Instr::SetField { local, var, f, ic } => (local, var, f, ic),
-            other => unreachable!("de-quickening non-set {other:?}"),
-        };
-        self.set_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        let flow = self.op_set(st, local, var, f, ic)?;
-        debug_assert!(matches!(flow, Flow::Next));
-        st.pc += 1;
-        Ok(Flow::Switch)
-    }
-
-    /// Generic call (`Call`): the receiver sits under `argc` arguments on
-    /// the operand stack.
+    /// Call (`Call`): the receiver sits under `argc` arguments on the
+    /// operand stack.
     fn op_call(
         &mut self,
         st: &mut ExecState,
@@ -1086,20 +891,6 @@ impl<'p> Vm<'p> {
         };
         if self.code.chunks[chunk].n_params as usize != argc {
             return Err(RtError::TypeMismatch("arity".into()));
-        }
-        if self.quicken && self.call_mono[ic as usize].1 >= QUICKEN_AFTER {
-            // Arity was just validated, so the quickened form skips it.
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_CALL, ic),
-                Quick::Call { view, chunk },
-                |q| Instr::CallQ {
-                    argc: argc as u16,
-                    q,
-                },
-            );
         }
         Ok(self.enter_chunk(st, chunk, argc, true, r))
     }
@@ -1124,64 +915,7 @@ impl<'p> Vm<'p> {
         if self.code.chunks[chunk].n_params != 0 {
             return Err(RtError::TypeMismatch("arity".into()));
         }
-        if self.quicken && self.call_mono[ic as usize].1 >= QUICKEN_AFTER {
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_CALL, ic),
-                Quick::Call { view, chunk },
-                |q| Instr::LoadCallQ { slot, q },
-            );
-        }
         Ok(self.enter_chunk(st, chunk, 0, false, r))
-    }
-
-    /// Quickened call: guard the receiver view, then enter the resolved
-    /// chunk directly (dispatch, arity, and cache probe all pre-done).
-    fn op_call_q(&mut self, st: &mut ExecState, argc: u16, q: u32) -> Result<Flow, RtError> {
-        let argc = argc as usize;
-        let ridx = st.stack.len() - 1 - argc;
-        if let Value::Ref(r) = &st.stack[ridx] {
-            if let Quick::Call { view, chunk } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, chunk) = (r.clone(), *chunk);
-                    self.stats.calls += 1;
-                    if self.depth >= self.max_depth {
-                        return Err(RtError::DepthExceeded(self.max_depth));
-                    }
-                    return Ok(self.enter_chunk(st, chunk, argc, true, r));
-                }
-            }
-        }
-        let (m, argc, ic) = match self.dequicken(st) {
-            Instr::Call { m, argc, ic } => (m, argc, ic),
-            other => unreachable!("de-quickening non-call {other:?}"),
-        };
-        self.call_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        self.op_call(st, m, argc, ic)
-    }
-
-    /// Quickened fused call (`LoadCallQ`).
-    fn op_load_call_q(&mut self, st: &mut ExecState, slot: u16, q: u32) -> Result<Flow, RtError> {
-        if let Value::Ref(r) = &st.locals[slot as usize] {
-            if let Quick::Call { view, chunk } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, chunk) = (r.clone(), *chunk);
-                    self.stats.calls += 1;
-                    if self.depth >= self.max_depth {
-                        return Err(RtError::DepthExceeded(self.max_depth));
-                    }
-                    return Ok(self.enter_chunk(st, chunk, 0, false, r));
-                }
-            }
-        }
-        let (m, ic) = match self.dequicken(st) {
-            Instr::LoadCall { m, ic, .. } => (m, ic),
-            other => unreachable!("de-quickening non-call {other:?}"),
-        };
-        self.call_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        self.op_load_call(st, slot, m, ic)
     }
 
     /// Switches into a resolved callee: drains the arguments into a
@@ -1284,66 +1018,14 @@ impl<'p> Vm<'p> {
         }
     }
 
-    // ---------------------------------------------------------- quickening
-
-    /// Installs (or refreshes) a site's quick-table entry and patches the
-    /// quickened instruction into this VM's private copy of the chunk.
-    fn install_quick(
-        &mut self,
-        chunk: usize,
-        pc: usize,
-        key: (u8, u32),
-        quick: Quick,
-        make: impl FnOnce(u32) -> Instr,
-    ) {
-        let q = match self.site_quick.get(&key) {
-            Some(&q) => {
-                self.quicks[q as usize] = quick;
-                q
-            }
-            None => {
-                let q = self.quicks.len() as u32;
-                self.quicks.push(quick);
-                self.site_quick.insert(key, q);
-                q
-            }
-        };
-        self.rewrite_code(chunk, pc, make(q));
-        self.stats.quickened += 1;
-    }
-
-    /// Restores the generic instruction at a quickened site (guard
-    /// failure) and returns it, so the caller can re-execute generically.
-    fn dequicken(&mut self, st: &ExecState) -> Instr {
-        let orig = self.code.chunks[st.chunk].code[st.pc].clone();
-        self.rewrite_code(st.chunk, st.pc, orig.clone());
-        self.stats.dequickened += 1;
-        orig
-    }
-
-    /// Copy-on-quicken: clones the chunk's stream on first rewrite (the
-    /// shared [`VmProgram`] is never touched, so every serve worker
-    /// quickens independently) and patches one instruction.
-    fn rewrite_code(&mut self, chunk: usize, pc: usize, ins: Instr) {
-        let mut stream: Vec<Instr> = match &self.quick_code[chunk] {
-            Some(a) => a.to_vec(),
-            None => self.code.chunks[chunk].code.clone(),
-        };
-        stream[pc] = ins;
-        self.quick_code[chunk] = Some(stream.into());
-    }
-
     // -------------------------------------------------------------- fields
 
-    /// Per-site inline cache in front of the global (view, field) table.
-    fn site_field_res(&mut self, ic: u32, view: ClassId, f: Name) -> Arc<FieldRes> {
-        if self.quicken {
-            mono_track(&mut self.field_mono[ic as usize], view);
-        }
+    /// Per-site inline cache in front of the global (view, field) table;
+    /// returns an index into `field_paths`.
+    fn site_field_res(&mut self, ic: u32, view: ClassId, f: Name) -> u32 {
         let site = &self.field_ics[ic as usize];
-        for (v, res) in site {
-            if *v == view {
-                let res = res.clone();
+        for &(v, res) in site {
+            if v == view {
                 self.stats.ic_hits += 1;
                 self.field_ic_hm[ic as usize][0] += 1;
                 return res;
@@ -1355,15 +1037,12 @@ impl<'p> Vm<'p> {
         let res = self.resolve_field(view, f);
         let site = &mut self.field_ics[ic as usize];
         if site.len() < IC_CAP {
-            site.push((view, res.clone()));
+            site.push((view, res));
         }
         res
     }
 
     fn site_set_res(&mut self, ic: u32, view: ClassId, f: Name) -> SetRes {
-        if self.quicken {
-            mono_track(&mut self.set_mono[ic as usize], view);
-        }
         let site = &self.set_ics[ic as usize];
         for (v, res) in site {
             if *v == view {
@@ -1393,15 +1072,12 @@ impl<'p> Vm<'p> {
     /// direct API users); uses only the global caches.
     pub fn get_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError> {
         let res = self.resolve_field(r.view, f);
-        self.get_field_resolved(r, f, &res)
+        self.get_field_resolved(r, f, res)
     }
 
-    fn get_field_resolved(
-        &mut self,
-        r: &RefVal,
-        f: Name,
-        res: &FieldRes,
-    ) -> Result<Value, RtError> {
+    /// Reads `r.f` along the resolved path `field_paths[res]`.
+    fn get_field_resolved(&mut self, r: &RefVal, f: Name, res: u32) -> Result<Value, RtError> {
+        let res = &self.field_paths[res as usize];
         let stored = {
             let Some(obj) = self.heap.obj(r.loc) else {
                 return Err(self.uninitialised(r, f));
@@ -1424,7 +1100,10 @@ impl<'p> Vm<'p> {
         match stored {
             Value::Ref(inner) => {
                 // Lazy implicit view change at the interpreted field type.
-                let (tid, masks) = res.ft.clone().map_err(RtError::BadType)?;
+                let (tid, masks) = match &res.ft {
+                    Ok(ft) => *ft,
+                    Err(m) => return Err(RtError::BadType(m.clone())),
+                };
                 self.stats.views_implicit += 1;
                 self.apply_view(inner, tid, masks).map(Value::Ref)
             }
@@ -1445,9 +1124,11 @@ impl<'p> Vm<'p> {
         self.heap.set(loc, copy, slot, f, v);
     }
 
-    fn resolve_field(&mut self, view: ClassId, f: Name) -> Arc<FieldRes> {
-        if let Some(res) = self.field_res.get(&(view, f)) {
-            return res.clone();
+    /// The read path of `f` in `view`, as an index into `field_paths`
+    /// (resolved once per pair).
+    fn resolve_field(&mut self, view: ClassId, f: Name) -> u32 {
+        if let Some(&res) = self.field_res.get(&(view, f)) {
+            return res;
         }
         let layout = self.layout_of(view);
         let copy = self.prog.sharing.fclass(view, f);
@@ -1466,13 +1147,14 @@ impl<'p> Vm<'p> {
             }
             Err(m) => Err(m),
         };
-        let res = Arc::new(FieldRes {
+        let res = self.field_paths.len() as u32;
+        self.field_paths.push(FieldRes {
             copy,
             slot,
             alts,
             ft,
         });
-        self.field_res.insert((view, f), res.clone());
+        self.field_res.insert((view, f), res);
         res
     }
 
@@ -1548,11 +1230,8 @@ impl<'p> Vm<'p> {
             let copy = self.prog.sharing.fclass(class, fname);
             let slot = layout.slots.get(&(copy, fname)).copied();
             self.write_cell(loc, copy, slot, fname, v);
-            masks.remove(&fname);
+            masks = self.grant_mask(masks, fname);
         }
-        // Fully initialised objects end with the empty mask set, which the
-        // pool shares across every allocation.
-        let masks = self.intern_masks(masks);
         self.sync_gc_stats();
         Ok(Value::Ref(RefVal {
             loc,
@@ -1565,21 +1244,21 @@ impl<'p> Vm<'p> {
     /// runs its declared field initialisers, reading the object's current
     /// ℓ back from the alloc scope after every step that may collect.
     /// Returns the masks still unremoved after the declared initialisers.
-    fn alloc_init(&mut self, class: ClassId, layout: &Layout) -> Result<BTreeSet<Name>, RtError> {
+    fn alloc_init(&mut self, class: ClassId, layout: &Layout) -> Result<MaskId, RtError> {
         // GC point: the only place the VM grows the heap. The scope this
         // call pushed holds the provided values; the object itself does
         // not exist yet.
         self.maybe_gc();
         let loc = self.heap.alloc(layout.n_slots);
         let all_fields = self.prog.table.fields_of(class);
-        let mut masks: BTreeSet<Name> = all_fields.iter().map(|(_, fi)| fi.name).collect();
         // `this` during initialisation: all fields masked (F-OK).
         self.stats.mask_allocs += 1;
+        let mut masks = self.intern_masks(all_fields.iter().map(|(_, fi)| fi.name).collect());
         let scope = self.alloc_stack.len() - 1;
         self.alloc_stack[scope].this_ref = Some(RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks.clone()),
+            masks,
         });
         for (owner, fi) in all_fields.iter().rev() {
             if !fi.has_init {
@@ -1588,10 +1267,7 @@ impl<'p> Vm<'p> {
             let Some(&chunk) = self.code.field_inits.get(&(*owner, fi.name)) else {
                 continue;
             };
-            let this_ref = self.alloc_stack[scope]
-                .this_ref
-                .clone()
-                .expect("in-flight this");
+            let this_ref = self.alloc_stack[scope].this_ref.expect("in-flight this");
             let mut locals = vec![Value::Unit; self.code.chunks[chunk].n_locals as usize];
             locals[0] = Value::Ref(this_ref);
             // Initialiser chunks are the one place the VM still recurses
@@ -1615,7 +1291,7 @@ impl<'p> Vm<'p> {
             let copy = self.prog.sharing.fclass(class, fi.name);
             let slot = layout.slots.get(&(copy, fi.name)).copied();
             self.write_cell(loc, copy, slot, fi.name, v);
-            masks.remove(&fi.name);
+            masks = self.grant_mask(masks, fi.name);
         }
         Ok(masks)
     }
@@ -1624,9 +1300,6 @@ impl<'p> Vm<'p> {
 
     /// Per-site call cache in front of the global dispatch table.
     fn site_call_res(&mut self, ic: u32, view: ClassId, m: Name) -> Option<usize> {
-        if self.quicken {
-            mono_track(&mut self.call_mono[ic as usize], view);
-        }
         let site = &self.call_ics[ic as usize];
         for (v, c) in site {
             if *v == view {
@@ -1716,11 +1389,21 @@ impl<'p> Vm<'p> {
         id
     }
 
-    /// Interns a runtime-computed mask set: the first occurrence counts as
-    /// a materialisation (`Stats::mask_allocs`), every later one shares
-    /// the pooled `Arc`.
-    fn intern_masks(&mut self, masks: BTreeSet<Name>) -> MaskSet {
+    /// Interns a runtime-computed mask set: a fresh pool entry counts as
+    /// a materialisation (`Stats::mask_allocs`), every later occurrence
+    /// shares its id.
+    fn intern_masks(&mut self, masks: BTreeSet<Name>) -> MaskId {
         let (m, fresh) = self.mask_pool.intern(masks);
+        if fresh {
+            self.stats.mask_allocs += 1;
+        }
+        m
+    }
+
+    /// `grant(σ, x.f)` on an interned set, counted like
+    /// [`Vm::intern_masks`].
+    fn grant_mask(&mut self, masks: MaskId, f: Name) -> MaskId {
+        let (m, fresh) = self.mask_pool.grant(masks, f);
         if fresh {
             self.stats.mask_allocs += 1;
         }
@@ -1775,10 +1458,10 @@ impl<'p> Vm<'p> {
     }
 
     /// The `view` function (§4.15), memoised: re-views `r` at the interned
-    /// target type with an interned (shared) mask set.
-    fn apply_view(&mut self, r: RefVal, tid: u32, masks: MaskSet) -> Result<RefVal, RtError> {
+    /// target type with an interned mask set.
+    fn apply_view(&mut self, r: RefVal, tid: u32, masks: MaskId) -> Result<RefVal, RtError> {
         // Case 1: current view already compatible.
-        if self.view_subtype(r.view, tid) && r.masks.is_subset(&masks) {
+        if self.view_subtype(r.view, tid) && self.mask_pool.is_subset(r.masks, masks) {
             return Ok(RefVal {
                 loc: r.loc,
                 view: r.view,
@@ -1810,34 +1493,28 @@ impl<'p> Vm<'p> {
     /// Evaluates a type-table entry to an interned runtime type plus the
     /// *full* interned mask set: masks contributed by dependent classes
     /// unioned with the masks declared on the source type. Non-dependent
-    /// entries resolve to one shared `Arc` per entry, so the hot path of
-    /// a view transition allocates nothing.
+    /// entries are evaluated once per entry, so the hot path of a view
+    /// transition is one indexed load.
     fn eval_type_interned(
         &mut self,
         tidx: u32,
         locals: &[Value],
-    ) -> Result<(u32, MaskSet), RtError> {
-        if let Some((tid, masks)) = &self.pre_view[tidx as usize] {
-            return Ok((*tid, masks.clone()));
+    ) -> Result<(u32, MaskId), RtError> {
+        if let Some(pre) = self.pre_view[tidx as usize] {
+            return Ok(pre);
         }
-        let entry = &self.code.types[tidx as usize];
-        let declared = entry.masks.clone();
-        if let Some((ty, dep_masks)) = &entry.pre {
-            let (ty, dep_masks) = (ty.clone(), dep_masks.clone());
-            let tid = self.intern_ty(ty);
-            let masks = if dep_masks.is_empty() {
-                declared
-            } else {
-                let mut all = dep_masks;
-                all.extend(declared.iter().copied());
-                self.intern_masks(all)
-            };
-            self.pre_view[tidx as usize] = Some((tid, masks.clone()));
-            return Ok((tid, masks));
+        let code = self.code;
+        let entry = &code.types[tidx as usize];
+        let (ty, mut masks) = match &entry.pre {
+            Some((ty, dep_masks)) => (ty.clone(), dep_masks.clone()),
+            None => self.eval_type_rt(tidx, locals)?,
+        };
+        masks.extend(entry.masks.iter().copied());
+        let out = (self.intern_ty(ty), self.intern_masks(masks));
+        if entry.pre.is_some() {
+            self.pre_view[tidx as usize] = Some(out);
         }
-        let (ty, mut masks) = self.eval_type_rt(tidx, locals)?;
-        masks.extend(declared.iter().copied());
-        Ok((self.intern_ty(ty), self.intern_masks(masks)))
+        Ok(out)
     }
 
     /// Runtime type evaluation: delegates to the shared Fig. 16 algorithm
@@ -1922,6 +1599,10 @@ impl<'p> Vm<'p> {
 impl jns_eval::typeeval::TypeEvalCtx for Vm<'_> {
     fn read_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError> {
         self.get_field(r, f)
+    }
+
+    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name> {
+        self.mask_pool.get(id)
     }
 
     fn checked_program(&self) -> &CheckedProgram {

@@ -49,17 +49,17 @@ fn direct_api_alloc_view_call() {
         .lookup_path(&[p.table.intern("A2"), p.table.intern("C")])
         .unwrap();
     let v = vm.alloc(a1c, vec![]).unwrap();
-    let r = v.as_ref_val().unwrap().clone();
+    let r = *v.as_ref_val().unwrap();
     assert!(r.masks.is_empty(), "all fields initialised: {:?}", r.masks);
     // Dispatch through the allocation view: A1's probe.
     let probe = p.table.intern("probe");
-    let out = vm.call(r.clone(), probe, vec![]).unwrap();
+    let out = vm.call(r, probe, vec![]).unwrap();
     assert_eq!(out, Value::Int(1));
     assert_eq!(vm.stats.allocs, 2, "C plus its D initialiser");
     // Re-view at A2.C: same location, partner view; dispatch runs A2's
     // override, and the read of `g` forwards to the base copy (§3.3).
     let target = jns_types::Ty::Class(a2c).exact();
-    let viewed = vm.view_as(r.clone(), &target, Default::default()).unwrap();
+    let viewed = vm.view_as(r, &target, Default::default()).unwrap();
     assert_eq!(viewed.loc, r.loc);
     assert_eq!(viewed.view, a2c);
     assert_eq!(vm.call(viewed, probe, vec![]).unwrap(), Value::Int(101));
@@ -69,12 +69,12 @@ fn direct_api_alloc_view_call() {
         .lookup_path(&[p.table.intern("A1"), p.table.intern("D")])
         .unwrap();
     let bad = jns_types::Ty::Class(a1d).exact();
-    assert!(vm.view_as(r.clone(), &bad, Default::default()).is_err());
+    assert!(vm.view_as(r, &bad, Default::default()).is_err());
     // The tree-walk machine agrees on every result and count.
     let mut m = jns_eval::Machine::new(&p);
     let mv = m.alloc(a1c, vec![]).unwrap();
-    let mr = mv.as_ref_val().unwrap().clone();
-    assert_eq!(m.call(mr.clone(), probe, vec![]).unwrap(), Value::Int(1));
+    let mr = *mv.as_ref_val().unwrap();
+    assert_eq!(m.call(mr, probe, vec![]).unwrap(), Value::Int(1));
     let mviewed = m.apply_view(mr, &target, Default::default()).unwrap();
     assert_eq!(m.call(mviewed, probe, vec![]).unwrap(), Value::Int(101));
     assert_eq!(m.stats.allocs, vm.stats.allocs);
@@ -414,32 +414,4 @@ fn fused_branches_retarget_jumps() {
     vp.run().unwrap();
     assert_eq!(vf.output, vp.output);
     assert_eq!(vf.output, vec!["11"]);
-}
-
-/// IC-guided quickening: a site monomorphic for `QUICKEN_AFTER`
-/// consecutive resolutions is rewritten (counted in `Stats::quickened`),
-/// `with_quickening(false)` disables the rewriter, and — because the
-/// rewrite is strictly one instruction for one — even `steps` agree.
-#[test]
-fn quickening_is_a_vm_knob() {
-    let p = checked(
-        "class A1 {
-           class C { int v = 0; int inc() { this.v = this.v + 1; return this.v; } }
-         }
-         main {
-           final A1!.C c = new A1.C();
-           while (c.v < 100) { final int x = c.inc(); }
-           print c.v;
-         }",
-    );
-    let code = compile(&p);
-    let mut hot = Vm::new(&p, &code);
-    hot.run().unwrap();
-    assert!(hot.stats.quickened > 0, "hot sites must quicken");
-    assert_eq!(hot.stats.dequickened, 0, "views never change here");
-    let mut cold = Vm::new(&p, &code).with_quickening(false);
-    cold.run().unwrap();
-    assert_eq!(cold.stats.quickened, 0, "knob off: no rewrites");
-    assert_eq!(hot.output, cold.output);
-    assert_eq!(hot.stats.semantic(), cold.stats.semantic());
 }

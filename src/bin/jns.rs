@@ -2,16 +2,15 @@
 //! language.
 //!
 //! Usage:
-//!   jns run [--vm] [--stats] [--no-fuse] [--no-quicken] [--max-depth N]
+//!   jns run [--vm] [--stats] [--no-fuse] [--max-depth N]
 //!           [--heap-limit N] [--trace PATH] [--profile-json PATH]
 //!           <file.jns>
 //!       parse, type-check, and run a program (tree-walking interpreter
 //!       by default; `--vm` selects the bytecode VM; `--stats` prints
 //!       execution statistics, inline-cache hit rates, the dispatch
-//!       engine's fusion/quickening counters, and the VM's per-chunk
-//!       instruction profile; `--no-fuse` / `--no-quicken` disable the
-//!       dispatch engine's superinstruction fusion and IC-guided
-//!       quickening stages (ablation knobs); `--max-depth` bounds J&s
+//!       engine's fusion counter, and the VM's per-chunk instruction
+//!       profile; `--no-fuse` disables the dispatch engine's
+//!       superinstruction fusion (ablation knob); `--max-depth` bounds J&s
 //!       recursion — both backends run on explicit heap stacks, so deep
 //!       limits are safe and exhaustion is a clean runtime error;
 //!       `--heap-limit` bounds the live heap — reaching it triggers a
@@ -78,9 +77,9 @@ const DEFAULT_SAMPLE_STRIDE: u64 = 101;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: jns run [--vm] [--stats] [--no-fuse] [--no-quicken] [--max-depth N] [--heap-limit N] [--nursery N] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
+        "usage: jns run [--vm] [--stats] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns check <file.jns>\n\
-         \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--no-quicken] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
+         \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
          \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...\n\
          \x20      jns bench-serve [--workers N] [--requests N] [--packets N] [--repeat N] [--json PATH]\n\
@@ -176,9 +175,9 @@ fn write_text(path: &str, contents: &str) -> Result<(), ExitCode> {
 }
 
 /// The flat runtime counters in their stable profile-schema order. The
-/// dispatch-engine counters (`fused`, `quickened`, `dequickened`) are
-/// emitted only when nonzero, so documents from `--no-fuse` /
-/// `--no-quicken` runs (and old readers) keep their exact shape.
+/// dispatch-engine counter (`fused`) is emitted only when nonzero, so
+/// documents from `--no-fuse` runs (and old readers) keep their exact
+/// shape.
 fn stat_counters(s: &Stats) -> Vec<(&'static str, u64)> {
     let mut counters = vec![
         ("steps", s.steps),
@@ -204,14 +203,8 @@ fn stat_counters(s: &Stats) -> Vec<(&'static str, u64)> {
         counters.push(("promoted", s.promoted));
         counters.push(("barrier_hits", s.barrier_hits));
     }
-    for (key, v) in [
-        ("fused", s.fused),
-        ("quickened", s.quickened),
-        ("dequickened", s.dequickened),
-    ] {
-        if v > 0 {
-            counters.push((key, v));
-        }
+    if s.fused > 0 {
+        counters.push(("fused", s.fused));
     }
     counters
 }
@@ -252,13 +245,10 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
             100.0 * s.ic_hits as f64 / probes as f64
         );
     }
-    if s.fused > 0 || s.quickened > 0 || s.dequickened > 0 {
-        eprintln!(
-            "dispatch engine {} fused sites, {} quickened, {} de-quickened",
-            s.fused, s.quickened, s.dequickened
-        );
-        // The still-polymorphic sites are the ones the engine cannot
-        // quicken; listing them points at the next optimisation target.
+    if s.fused > 0 {
+        eprintln!("dispatch engine {} fused sites", s.fused);
+        // A polymorphic site pays a scan of several cache entries per
+        // access; listing them points at the next optimisation target.
         let mut poly: Vec<_> = out.ic_profile.iter().filter(|p| p.entries >= 2).collect();
         poly.sort_by(|a, b| {
             (b.hits + b.misses)
@@ -300,29 +290,13 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
     }
 }
 
-/// The dispatch-engine ablation knobs (`--no-fuse`, `--no-quicken`).
-#[derive(Debug, Clone, Copy)]
-struct EngineKnobs {
-    fuse: bool,
-    quicken: bool,
-}
-
-impl EngineKnobs {
-    fn take(args: &mut Vec<String>) -> Self {
-        EngineKnobs {
-            fuse: !take_flag(args, "--no-fuse"),
-            quicken: !take_flag(args, "--no-quicken"),
-        }
-    }
-}
-
 fn compile_file(
     path: &str,
     backend: Backend,
     max_depth: Option<u32>,
     heap_limit: Option<usize>,
     nursery: Option<usize>,
-    knobs: EngineKnobs,
+    fuse: bool,
 ) -> Result<jns_core::Compiled, ExitCode> {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -331,10 +305,7 @@ fn compile_file(
             return Err(ExitCode::FAILURE);
         }
     };
-    let mut compiler = Compiler::new()
-        .with_backend(backend)
-        .with_fusion(knobs.fuse)
-        .with_quickening(knobs.quicken);
+    let mut compiler = Compiler::new().with_backend(backend).with_fusion(fuse);
     if let Some(d) = max_depth {
         compiler = compiler.with_max_depth(d);
     }
@@ -363,7 +334,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         Backend::TreeWalk
     };
     let stats = take_flag(&mut args, "--stats");
-    let knobs = EngineKnobs::take(&mut args);
+    let fuse = !take_flag(&mut args, "--no-fuse");
     let max_depth = match take_max_depth(&mut args) {
         Ok(d) => d,
         Err(code) => return code,
@@ -413,7 +384,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         [cmd, path] if cmd == "run" || cmd == "check" => (cmd == "check", path.clone()),
         _ => return usage(),
     };
-    let compiled = match compile_file(&path, backend, max_depth, heap_limit, nursery, knobs) {
+    let compiled = match compile_file(&path, backend, max_depth, heap_limit, nursery, fuse) {
         Ok(c) => c,
         Err(code) => return code,
     };
@@ -593,7 +564,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
         }
     };
     let stats = take_flag(&mut args, "--stats");
-    let knobs = EngineKnobs::take(&mut args);
+    let fuse = !take_flag(&mut args, "--no-fuse");
     let max_depth = match take_max_depth(&mut args) {
         Ok(d) => d,
         Err(code) => return code,
@@ -630,7 +601,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     let [_, path] = args.as_slice() else {
         return usage();
     };
-    let compiled = match compile_file(path, Backend::Vm, max_depth, heap_limit, nursery, knobs) {
+    let compiled = match compile_file(path, Backend::Vm, max_depth, heap_limit, nursery, fuse) {
         Ok(c) => c,
         Err(code) => return code,
     };
