@@ -261,7 +261,7 @@ impl<'t> Checker<'t> {
         let mut env = TypeEnv::new();
         env.bind(
             self.table.this_name,
-            Ty::Class(id).with_masks(all_fields.into_iter().collect()),
+            Ty::Class(id).with_masks((*all_fields).clone()),
         );
         let declared = match resolve_type(self.table, id, &f.ty) {
             Ok(t) => t,
@@ -297,14 +297,10 @@ impl<'t> Checker<'t> {
     /// M-OK: checks a method body under Γ = this:P, x:T.
     fn check_method(&mut self, id: ClassId, m: &syn::MethodDecl) {
         let mname = self.table.intern(&m.name.text);
-        let Some(sig) = self
+        let found = self
             .table
-            .class(id)
-            .methods
-            .iter()
-            .find(|s| s.name == mname)
-            .cloned()
-        else {
+            .with_class(id, |c| c.methods.iter().find(|s| s.name == mname).cloned());
+        let Some(sig) = found else {
             return; // signature failed to resolve; already reported
         };
         let mut env = TypeEnv::new();
@@ -371,6 +367,7 @@ impl<'t> Checker<'t> {
     /// whose constraints must still hold in the inheriting family.
     fn check_constraints(&mut self) {
         let env = TypeEnv::new();
+        let judge = Judge::new(self.table, &env);
         for id in self.table.all_ids() {
             if id == ClassId::ROOT {
                 continue;
@@ -381,7 +378,6 @@ impl<'t> Checker<'t> {
                     continue;
                 };
                 for c in &sig.constraints {
-                    let judge = Judge::new(self.table, &env);
                     let l = judge.subst(&c.lhs.ty, self.table.this_name, &this_exact);
                     let r = judge.subst(&c.rhs.ty, self.table.this_name, &this_exact);
                     let (Ok(l), Ok(r)) = (l, r) else {
@@ -940,13 +936,14 @@ impl<'c, 't> BodyCx<'c, 't> {
         // class.
         for m in &members {
             for mname in self.table().method_names(*m) {
-                let all_abstract = self
-                    .table()
-                    .supers(*m)
-                    .iter()
-                    .flat_map(|s| self.table().class(*s).methods)
-                    .filter(|sig| sig.name == mname)
-                    .all(|sig| sig.is_abstract);
+                let all_abstract = self.table().supers(*m).iter().all(|s| {
+                    self.table().with_class(*s, |c| {
+                        c.methods
+                            .iter()
+                            .filter(|sig| sig.name == mname)
+                            .all(|sig| sig.is_abstract)
+                    })
+                });
                 if all_abstract {
                     self.checker.err(
                         format!(

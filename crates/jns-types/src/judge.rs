@@ -5,13 +5,38 @@
 //! declarative rules. Canonicalisation resolves non-dependent prefix types
 //! via `prefix(P, PS)`, folds `T.C` into class ids where possible, applies
 //! nested intersection `(S&T).C = S.C & T.C`, and normalises meets.
+//!
+//! # What is cached
+//!
+//! * **Subtyping goals.** `sub_pure` tables its answers per judge, keyed
+//!   by the canonical pair. The search cuts a goal that is already open on
+//!   the current path (a cycle) and any goal deeper than `MAX_SUB_DEPTH`,
+//!   answering `false`; either cut depends on where the goal was asked
+//!   from. So an answer is stored only if its search took no cut (it is
+//!   then what a fresh search from that goal gives), together with how
+//!   many levels the search went below the goal, and it is reused only
+//!   where that many levels still fit under `MAX_SUB_DEPTH`.
+//! * **Canonical forms.** The canonical form of a type without dependent
+//!   classes does not depend on Γ, so it lives in the class table and is
+//!   shared by every judge over it, including the run-time ones
+//!   (field-type interpretation, view checks, `new`). Leaves, exact
+//!   wrappers and dependent types are recomputed: they are cheaper than a
+//!   lookup, or their Γ changes with every body expression.
+//!
+//! Every entry is keyed by the table's `Epoch` (its class count and its
+//! `update` count): it is dropped once a class materialises or
+//! `ClassTable::update` runs, and an answer whose computation moved the
+//! epoch is not stored. A judge is cheap to create; the closed-world
+//! passes (sharing inference, Q-OK/L-OK) each keep one judge with an empty
+//! Γ for the whole pass, so its table is shared across every goal they ask.
 
 use crate::env::TypeEnv;
 use crate::names::Name;
-use crate::table::ClassTable;
+use crate::table::{ClassTable, EpochMap, FxHasher};
 use crate::ty::{ClassId, TPath, Ty, Type};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// The judgment engine: a class table plus a typing environment.
 pub struct Judge<'a> {
@@ -19,8 +44,16 @@ pub struct Judge<'a> {
     pub table: &'a ClassTable,
     /// The typing environment Γ.
     pub env: &'a TypeEnv,
-    goals: RefCell<HashSet<(Ty, Ty)>>,
-    depth: RefCell<u32>,
+    /// Subtyping goals open on the current search path.
+    goals: RefCell<HashSet<(Ty, Ty), BuildHasherDefault<FxHasher>>>,
+    depth: Cell<u32>,
+    /// Cuts taken so far; a goal that leaves it unchanged was cut-free.
+    cuts: Cell<u64>,
+    /// The deepest goal depth the current search has reached.
+    reach: Cell<u32>,
+    /// Cut-free answers, with how many levels their search went below
+    /// the goal.
+    sub_memo: RefCell<EpochMap<(Ty, Ty), (bool, u32)>>,
 }
 
 /// Errors from judgment-level operations (wrapped by the checker).
@@ -34,15 +67,35 @@ impl<'a> Judge<'a> {
         Judge {
             table,
             env,
-            goals: RefCell::new(HashSet::new()),
-            depth: RefCell::new(0),
+            goals: RefCell::new(HashSet::default()),
+            depth: Cell::new(0),
+            cuts: Cell::new(0),
+            reach: Cell::new(0),
+            sub_memo: RefCell::new(EpochMap::default()),
         }
     }
 
     // ------------------------------------------------------------- canon
 
-    /// Canonicalises a pure type.
+    /// Canonicalises a pure type (cached; see the module docs).
     pub fn canon(&self, t: &Ty) -> Ty {
+        // Leaves are their own canonical forms, an exact type is as cheap
+        // as its (cached) body, and a dependent type's form depends on Γ.
+        if matches!(t, Ty::Prim(_) | Ty::Class(_) | Ty::Dep(_) | Ty::Exact(_))
+            || !t.is_non_dependent()
+        {
+            return self.canon_step(t);
+        }
+        if let Some(c) = self.table.canon_cached(t) {
+            return c;
+        }
+        let start = self.table.epoch();
+        let c = self.canon_step(t);
+        self.table.cache_canon(start, t.clone(), c.clone());
+        c
+    }
+
+    fn canon_step(&self, t: &Ty) -> Ty {
         match t {
             Ty::Prim(_) | Ty::Class(_) | Ty::Dep(_) => t.clone(),
             Ty::Nested(inner, c) => {
@@ -375,22 +428,37 @@ impl<'a> Judge<'a> {
         self.sub(t1, t2) && self.sub(t2, t1)
     }
 
-    /// `Γ ⊢ PT1 ≤ PT2` on pure types.
+    /// `Γ ⊢ PT1 ≤ PT2` on pure types (tabled; see the module docs).
     pub fn sub_pure(&self, s: &Ty, t: &Ty) -> bool {
-        let s = self.canon(s);
-        let t = self.canon(t);
-        let key = (s.clone(), t.clone());
-        if self.goals.borrow().contains(&key) {
-            return false; // already being tried on this path: cut
+        let key = (self.canon(s), self.canon(t));
+        let start = self.table.epoch();
+        let depth = self.depth.get();
+        if let Some((r, height)) = self.sub_memo.borrow().get(start, &key) {
+            // The stored search fits in the depth budget left here.
+            if depth + height <= MAX_SUB_DEPTH {
+                self.reach.set(self.reach.get().max(depth + height));
+                return r;
+            }
         }
-        if *self.depth.borrow() > MAX_SUB_DEPTH {
+        // Already being tried on this path, or too deep: cut.
+        if self.goals.borrow().contains(&key) || depth > MAX_SUB_DEPTH {
+            self.cuts.set(self.cuts.get() + 1);
             return false;
         }
+        let cuts = self.cuts.get();
+        let outer_reach = self.reach.replace(depth);
         self.goals.borrow_mut().insert(key.clone());
-        *self.depth.borrow_mut() += 1;
-        let r = self.sub_inner(&s, &t);
-        *self.depth.borrow_mut() -= 1;
+        self.depth.set(depth + 1);
+        let r = self.sub_inner(&key.0, &key.1);
+        self.depth.set(depth);
         self.goals.borrow_mut().remove(&key);
+        let reach = self.reach.get();
+        self.reach.set(outer_reach.max(reach));
+        if self.cuts.get() == cuts {
+            let now = self.table.epoch();
+            let entry = (r, reach - depth);
+            self.sub_memo.borrow_mut().insert(start, now, key, entry);
+        }
         r
     }
 

@@ -9,6 +9,8 @@
 
 #[cfg(test)]
 pub(crate) mod fixtures;
+#[cfg(test)]
+mod memo_tests;
 
 pub mod check;
 pub mod env;

@@ -92,7 +92,7 @@ pub fn resolve(program: &syn::Program) -> Result<Resolved<'_>, Vec<TypeError>> {
             };
             let mut names: BTreeSet<Name> = BTreeSet::new();
             for s in table.supers(base) {
-                names.extend(table.class(s).nested_explicit.keys().copied());
+                table.with_class(s, |c| names.extend(c.nested_explicit.keys().copied()));
             }
             for n in names {
                 if let (Some(d), Some(b)) = (table.member(id, n), table.member(base, n)) {
@@ -124,7 +124,7 @@ fn add_skeleton<'a>(
     errors: &mut Vec<TypeError>,
 ) {
     let name = table.intern(&decl.name.text);
-    if table.class(parent).nested_explicit.contains_key(&name) {
+    if table.with_class(parent, |c| c.nested_explicit.contains_key(&name)) {
         errors.push(TypeError {
             message: format!("duplicate class `{}`", decl.name.text),
             span: decl.name.span,

@@ -76,7 +76,7 @@ impl SharingTable {
             return None;
         }
         let mut masks = BTreeSet::new();
-        for f in table.field_names(dst) {
+        for &f in table.field_names(dst).iter() {
             let dst_copy = self.fclass(dst, f);
             let src_has = table.field_names(src).contains(&f);
             let same_copy = src_has && self.fclass(src, f) == dst_copy;
@@ -166,11 +166,14 @@ impl SharingTable {
             st.groups.insert(*c, groups[*g].clone());
         }
 
+        // Both fixpoints below ask closed-world questions under an empty
+        // environment, so one judge (and its memo) serves them all.
+        let env = crate::env::TypeEnv::new();
+        let judge = Judge::new(table, &env);
         // Field-copy attribution fixpoint. Start optimistic: every common
         // field follows the `shares` chain to the base copy; then force
         // duplication (own copy) whenever the interpreted field types are
         // not bidirectionally shared, until stable.
-        let env = crate::env::TypeEnv::new();
         // duplicated[(d)] = set of fields d keeps its own copy of.
         let mut dup: HashMap<ClassId, BTreeSet<Name>> = HashMap::new();
         for (d, _b, declared_masks) in &st.declared {
@@ -182,7 +185,7 @@ impl SharingTable {
             // Recompute fclass from the current duplication sets.
             st.fclass.clear();
             for (d, b, _) in &st.declared {
-                for f in table.field_names(*d) {
+                for &f in table.field_names(*d).iter() {
                     let shared_field = table.field_names(*b).contains(&f)
                         && !dup.get(d).is_some_and(|s| s.contains(&f));
                     if shared_field {
@@ -194,9 +197,8 @@ impl SharingTable {
             }
             // Check interpreted field types; grow duplication sets.
             let mut changed = false;
-            let judge = Judge::new(table, &env);
             for (d, b, _) in &st.declared {
-                for f in table.field_names(*d) {
+                for &f in table.field_names(*d).iter() {
                     if st.fclass(*d, f) == *d {
                         continue; // already own copy
                     }
@@ -250,7 +252,6 @@ impl SharingTable {
         // so we compute a greatest fixpoint: start with every candidate
         // forward, then strike out those whose type check fails, until
         // stable.
-        let judge = Judge::new(table, &env);
         let all_pairs: Vec<(ClassId, ClassId)> = st
             .groups
             .values()
@@ -266,7 +267,7 @@ impl SharingTable {
             if src == dst {
                 continue;
             }
-            for f in table.field_names(dst) {
+            for &f in table.field_names(dst).iter() {
                 let dst_copy = st.fclass(dst, f);
                 if table.field_names(src).contains(&f) {
                     let src_copy = st.fclass(src, f);
@@ -441,8 +442,8 @@ impl SharingTable {
             // All nested names visible in the family (own + inherited).
             let mut names: BTreeSet<Name> = BTreeSet::new();
             for s in j.table.supers(fam) {
-                let info = j.table.class(s);
-                names.extend(info.nested_explicit.keys().copied());
+                j.table
+                    .with_class(s, |c| names.extend(c.nested_explicit.keys().copied()));
             }
             for n in names {
                 if let Some(m) = j.table.member(fam, n) {

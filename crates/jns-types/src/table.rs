@@ -4,11 +4,21 @@
 //! classes inherited into a family by nested inheritance without being
 //! overridden — are materialised lazily and memoised, because eager
 //! materialisation would not terminate for recursive family nestings.
+//!
+//! Every derived answer is cached. The `@` queries (`direct_supers`,
+//! `supers`, `field_names`) are memoised per class and cleared by
+//! [`ClassTable::update`]. Answers that also depend on which classes have
+//! materialised — the `~` component labels behind
+//! [`ClassTable::related`] and the environment-free canonical forms used
+//! by [`crate::Judge::canon`] — are keyed by the table's `Epoch`: its
+//! class count and its `update` count.
 
 use crate::names::{Interner, Name};
 use crate::ty::{ClassId, TPath, Ty, Type};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// A field declaration, resolved.
 #[derive(Debug, Clone)]
@@ -74,6 +84,99 @@ pub struct ClassInfo {
     pub nested_explicit: HashMap<Name, ClassId>,
 }
 
+/// The state of a [`ClassTable`] that its derived answers depend on: how
+/// many classes have materialised and how many times [`ClassTable::update`]
+/// has run. A cached answer is valid only at the epoch it was computed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Epoch {
+    classes: usize,
+    updates: u64,
+}
+
+/// The FxHash multiplicative hasher. The judgment caches key on whole
+/// types, which the default SipHash makes cost more to look up than many
+/// of the answers they hold do to compute. The keys are built by the
+/// checker from interned names and class ids numbered in order of
+/// appearance, not taken from input bytes.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` with [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A cache whose entries are valid for one [`Epoch`]: reading at any other
+/// epoch misses, and the first insertion at a new epoch drops the rest.
+#[derive(Debug, Clone)]
+pub(crate) struct EpochMap<K, V> {
+    epoch: Epoch,
+    map: FxHashMap<K, V>,
+}
+
+impl<K, V> Default for EpochMap<K, V> {
+    fn default() -> Self {
+        EpochMap {
+            epoch: Epoch::default(),
+            map: FxHashMap::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> EpochMap<K, V> {
+    /// The entry for `k`, if one was stored at epoch `now`.
+    pub(crate) fn get(&self, now: Epoch, k: &K) -> Option<V> {
+        if self.epoch == now {
+            self.map.get(k).cloned()
+        } else {
+            None
+        }
+    }
+
+    /// Stores `v` for `k`, computed from epoch `start` to epoch `now`. An
+    /// answer whose computation changed the table is not stored: the same
+    /// query asked now could see classes it did not.
+    pub(crate) fn insert(&mut self, start: Epoch, now: Epoch, k: K, v: V) {
+        if start != now {
+            return;
+        }
+        if self.epoch != now {
+            self.map.clear();
+            self.epoch = now;
+        }
+        self.map.insert(k, v);
+    }
+}
+
 /// The class table: interner + all classes (explicit and, growing lazily,
 /// implicit) + memoised hierarchy queries.
 #[derive(Debug)]
@@ -84,7 +187,13 @@ pub struct ClassTable {
     member_cache: RefCell<HashMap<(ClassId, Name), Option<ClassId>>>,
     direct_cache: RefCell<HashMap<ClassId, Vec<ClassId>>>,
     supers_cache: RefCell<HashMap<ClassId, Vec<ClassId>>>,
+    field_names_cache: RefCell<HashMap<ClassId, Arc<BTreeSet<Name>>>>,
     in_progress: RefCell<HashSet<ClassId>>,
+    updates: Cell<u64>,
+    /// `~` component label of every class, valid at the stored epoch.
+    related_labels: RefCell<(Epoch, Vec<u32>)>,
+    /// Canonical forms of types without dependent classes.
+    canon_cache: RefCell<EpochMap<Ty, Ty>>,
     /// `this` as an interned name (filled by `new`).
     pub this_name: Name,
 }
@@ -96,11 +205,12 @@ impl Default for ClassTable {
 }
 
 impl Clone for ClassTable {
-    /// Deep copy, including every memoised hierarchy query and every
-    /// implicit class materialised so far. Class ids are table-local, so
-    /// a clone answers every query identically to the original — this is
-    /// what lets each `jns-serve` worker carry its own lazily growing
-    /// table while sharing one immutable bytecode program.
+    /// Deep copy, including every memoised hierarchy query, the `~`
+    /// labels, the canonical-form cache and every implicit class
+    /// materialised so far. Class ids are table-local, so a clone answers
+    /// every query identically to the original — this is what lets each
+    /// `jns-serve` worker carry its own lazily growing table, with warm
+    /// caches, while sharing one immutable bytecode program.
     fn clone(&self) -> Self {
         ClassTable {
             interner: RefCell::new(self.interner.borrow().clone()),
@@ -108,7 +218,11 @@ impl Clone for ClassTable {
             member_cache: RefCell::new(self.member_cache.borrow().clone()),
             direct_cache: RefCell::new(self.direct_cache.borrow().clone()),
             supers_cache: RefCell::new(self.supers_cache.borrow().clone()),
+            field_names_cache: RefCell::new(self.field_names_cache.borrow().clone()),
             in_progress: RefCell::new(self.in_progress.borrow().clone()),
+            updates: self.updates.clone(),
+            related_labels: RefCell::new(self.related_labels.borrow().clone()),
+            canon_cache: RefCell::new(self.canon_cache.borrow().clone()),
             this_name: self.this_name,
         }
     }
@@ -142,7 +256,11 @@ impl ClassTable {
             member_cache: RefCell::new(HashMap::new()),
             direct_cache: RefCell::new(HashMap::new()),
             supers_cache: RefCell::new(HashMap::new()),
+            field_names_cache: RefCell::new(HashMap::new()),
             in_progress: RefCell::new(HashSet::new()),
+            updates: Cell::new(0),
+            related_labels: RefCell::new((Epoch::default(), Vec::new())),
+            canon_cache: RefCell::new(EpochMap::default()),
             this_name,
         }
     }
@@ -190,9 +308,15 @@ impl ClassTable {
         id
     }
 
-    /// Read access to a class.
+    /// Read access to a class (a copy).
     pub fn class(&self, id: ClassId) -> ClassInfo {
         self.classes.borrow()[id.0 as usize].clone()
+    }
+
+    /// Applies `f` to a borrowed class. `f` must not call back into the
+    /// table in a way that materialises classes or runs `update`.
+    pub(crate) fn with_class<R>(&self, id: ClassId, f: impl FnOnce(&ClassInfo) -> R) -> R {
+        f(&self.classes.borrow()[id.0 as usize])
     }
 
     /// The simple name of `id`.
@@ -239,7 +363,21 @@ impl ClassTable {
         (0..self.len() as u32).map(ClassId).collect()
     }
 
+    /// The table's current [`Epoch`]; it moves whenever a class
+    /// materialises or [`ClassTable::update`] runs.
+    pub(crate) fn epoch(&self) -> Epoch {
+        Epoch {
+            classes: self.len(),
+            updates: self.updates.get(),
+        }
+    }
+
     /// Mutates a class in place (used by the resolver to fill in bodies).
+    ///
+    /// Invalidates every derived answer: the per-class hierarchy and field
+    /// caches are cleared, and the table's epoch moves, which retires the
+    /// `~` labels, the canonical-form cache and the subtyping memo of
+    /// every [`crate::Judge`] over this table.
     pub fn update<R>(&self, id: ClassId, f: impl FnOnce(&mut ClassInfo) -> R) -> R {
         let mut classes = self.classes.borrow_mut();
         let r = f(&mut classes[id.0 as usize]);
@@ -252,8 +390,21 @@ impl ClassTable {
         // entries can be invalidated by a declaration change.
         self.direct_cache.borrow_mut().clear();
         self.supers_cache.borrow_mut().clear();
+        self.field_names_cache.borrow_mut().clear();
         self.member_cache.borrow_mut().retain(|_, v| v.is_some());
+        self.updates.set(self.updates.get() + 1);
         r
+    }
+
+    /// The cached canonical form of the dependent-class-free type `t`.
+    pub(crate) fn canon_cached(&self, t: &Ty) -> Option<Ty> {
+        self.canon_cache.borrow().get(self.epoch(), t)
+    }
+
+    /// Caches `c` as the canonical form of `t`, computed from `start`.
+    pub(crate) fn cache_canon(&self, start: Epoch, t: Ty, c: Ty) {
+        let now = self.epoch();
+        self.canon_cache.borrow_mut().insert(start, now, t, c);
     }
 
     // ------------------------------------------------------------ hierarchy
@@ -337,10 +488,10 @@ impl ClassTable {
             return Vec::new(); // cycle; reported by the acyclicity check
         }
         self.in_progress.borrow_mut().insert(p);
-        let info = self.class(p);
+        let (parent, name, extends) = self.with_class(p, |c| (c.parent, c.name, c.extends.clone()));
         let mut out: Vec<ClassId> = Vec::new();
         // @sc from `extends`.
-        for t in &info.extends {
+        for t in &extends {
             for m in self.extends_members(p, t) {
                 if m != p && !out.contains(&m) {
                     out.push(m);
@@ -349,10 +500,10 @@ impl ClassTable {
         }
         // @fb: P.C further binds Q.C for every direct super Q of P.
         let mut fb_parents: Vec<ClassId> = Vec::new();
-        if let Some(parent) = info.parent {
+        if let Some(parent) = parent {
             if parent != p {
                 for q in self.direct_supers(parent) {
-                    if let Some(qc) = self.member(q, info.name) {
+                    if let Some(qc) = self.member(q, name) {
                         if qc != p && !out.contains(&qc) {
                             out.push(qc);
                             fb_parents.push(qc);
@@ -371,8 +522,8 @@ impl ClassTable {
         while i < fb_parents.len() {
             let q = fb_parents[i];
             i += 1;
-            let qinfo = self.class(q);
-            for t in &qinfo.extends {
+            let q_extends = self.with_class(q, |c| c.extends.clone());
+            for t in &q_extends {
                 for m in self.extends_members(p, t) {
                     if m != p && !out.contains(&m) {
                         out.push(m);
@@ -381,7 +532,7 @@ impl ClassTable {
             }
             // Continue up q's own further-binding chain.
             for s in self.direct_supers(q) {
-                if self.simple_name(s) == info.name && !fb_parents.contains(&s) {
+                if self.simple_name(s) == name && !fb_parents.contains(&s) {
                     fb_parents.push(s);
                 }
             }
@@ -446,13 +597,12 @@ impl ClassTable {
     /// reinterpreted in `p`'s family by late binding — the SC rule's
     /// `⊢ P1 @* P` premise).
     pub fn all_extends(&self, p: ClassId) -> Vec<Ty> {
-        let info = self.class(p);
-        let mut out = info.extends.clone();
+        let (parent, name, mut out) = self.with_class(p, |c| (c.parent, c.name, c.extends.clone()));
         let mut chain: Vec<ClassId> = Vec::new();
-        if let Some(parent) = info.parent {
+        if let Some(parent) = parent {
             if parent != p {
                 for q in self.direct_supers(parent) {
-                    if let Some(qc) = self.member(q, info.name) {
+                    if let Some(qc) = self.member(q, name) {
                         if qc != p && !chain.contains(&qc) {
                             chain.push(qc);
                         }
@@ -464,13 +614,15 @@ impl ClassTable {
         while i < chain.len() {
             let q = chain[i];
             i += 1;
-            for t in &self.class(q).extends {
-                if !out.contains(t) {
-                    out.push(t.clone());
+            self.with_class(q, |c| {
+                for t in &c.extends {
+                    if !out.contains(t) {
+                        out.push(t.clone());
+                    }
                 }
-            }
+            });
             for s in self.direct_supers(q) {
-                if self.simple_name(s) == info.name && !chain.contains(&s) && s != p {
+                if self.simple_name(s) == name && !chain.contains(&s) && s != p {
                     chain.push(s);
                 }
             }
@@ -481,8 +633,13 @@ impl ClassTable {
     /// `supers(P)`: the reflexive-transitive closure of `@` starting at `p`
     /// (Fig. 9's `supers`, restricted to a single class).
     pub fn supers(&self, p: ClassId) -> Vec<ClassId> {
+        self.with_supers(p, <[ClassId]>::to_vec)
+    }
+
+    /// Applies `f` to the borrowed `supers(p)`.
+    fn with_supers<R>(&self, p: ClassId, f: impl FnOnce(&[ClassId]) -> R) -> R {
         if let Some(cached) = self.supers_cache.borrow().get(&p) {
-            return cached.clone();
+            return f(cached);
         }
         let mut seen = vec![p];
         let mut queue = vec![p];
@@ -494,13 +651,14 @@ impl ClassTable {
                 }
             }
         }
-        self.supers_cache.borrow_mut().insert(p, seen.clone());
-        seen
+        let r = f(&seen);
+        self.supers_cache.borrow_mut().insert(p, seen);
+        r
     }
 
     /// `⊢ P1 @* P2` — `p2` is a (reflexive, transitive) superclass of `p1`.
     pub fn is_subclass(&self, p1: ClassId, p2: ClassId) -> bool {
-        self.supers(p1).contains(&p2)
+        self.with_supers(p1, |s| s.contains(&p2))
     }
 
     /// `mem(PS)` (Fig. 9): the set of classes comprising a pure
@@ -566,35 +724,53 @@ impl ClassTable {
     }
 
     /// The `~` relation (Fig. 9): classes connected by further binding from
-    /// a common origin. Implemented as undirected reachability over `@`
-    /// edges between classes that share nested-class structure.
+    /// a common origin, i.e. in one component of the undirected graph of
+    /// direct `@` edges between materialised classes.
+    ///
+    /// One label comparison: the component labels are computed once per
+    /// epoch (class count and `update` count) and cached; clones carry
+    /// them.
     pub fn related(&self, p1: ClassId, p2: ClassId) -> bool {
         if p1 == p2 {
             return true;
         }
-        // Undirected BFS over direct `@` edges.
-        let mut seen = vec![p1];
-        let mut queue = vec![p1];
-        while let Some(q) = queue.pop() {
-            let mut nbrs = self.direct_supers(q);
-            // reverse edges: all currently materialised classes that have q
-            // as a direct super
-            for id in self.all_ids() {
-                if self.direct_supers(id).contains(&q) {
-                    nbrs.push(id);
-                }
-            }
-            for nb in nbrs {
-                if nb == p2 {
-                    return true;
-                }
-                if !seen.contains(&nb) {
-                    seen.push(nb);
-                    queue.push(nb);
-                }
+        {
+            let cached = self.related_labels.borrow();
+            if cached.0 == self.epoch() {
+                return cached.1[p1.0 as usize] == cached.1[p2.0 as usize];
             }
         }
-        false
+        let labels = self.related_labels();
+        let r = labels[p1.0 as usize] == labels[p2.0 as usize];
+        *self.related_labels.borrow_mut() = (self.epoch(), labels);
+        r
+    }
+
+    /// The `~` component label of every class: a union-find over the
+    /// undirected direct `@` edges. `direct_supers` can materialise
+    /// implicit classes, so it is first run over every class, including
+    /// the ones it creates, until none appear.
+    fn related_labels(&self) -> Vec<u32> {
+        let mut i = 0;
+        while i < self.len() {
+            self.direct_supers(ClassId(i as u32));
+            i += 1;
+        }
+        fn find(uf: &mut [u32], mut x: u32) -> u32 {
+            while uf[x as usize] != x {
+                uf[x as usize] = uf[uf[x as usize] as usize];
+                x = uf[x as usize];
+            }
+            x
+        }
+        let mut uf: Vec<u32> = (0..self.len() as u32).collect();
+        for (c, sups) in self.direct_cache.borrow().iter() {
+            for s in sups {
+                let (a, b) = (find(&mut uf, c.0), find(&mut uf, s.0));
+                uf[a.max(b) as usize] = a.min(b);
+            }
+        }
+        (0..uf.len() as u32).map(|x| find(&mut uf, x)).collect()
     }
 
     // ----------------------------------------------------------- members
@@ -614,12 +790,31 @@ impl ClassTable {
     /// Looks up field `f` starting from class `p` (walking supers).
     /// Returns the declaring class and the declaration.
     pub fn field(&self, p: ClassId, f: Name) -> Option<(ClassId, FieldInfo)> {
-        self.fields_of(p).into_iter().find(|(_, fi)| fi.name == f)
+        self.with_supers(p, |sups| {
+            let classes = self.classes.borrow();
+            sups.iter().find_map(|s| {
+                let fi = classes[s.0 as usize]
+                    .fields
+                    .iter()
+                    .find(|fi| fi.name == f)?;
+                Some((*s, fi.clone()))
+            })
+        })
     }
 
-    /// All field names of class `p` including inherited ones.
-    pub fn field_names(&self, p: ClassId) -> BTreeSet<Name> {
-        self.fields_of(p).into_iter().map(|(_, f)| f.name).collect()
+    /// All field names of class `p` including inherited ones (cached per
+    /// class until the next [`ClassTable::update`]).
+    pub fn field_names(&self, p: ClassId) -> Arc<BTreeSet<Name>> {
+        if let Some(names) = self.field_names_cache.borrow().get(&p) {
+            return names.clone();
+        }
+        let names: Arc<BTreeSet<Name>> = self.with_supers(p, |sups| {
+            let classes = self.classes.borrow();
+            let fields = sups.iter().flat_map(|s| &classes[s.0 as usize].fields);
+            Arc::new(fields.map(|f| f.name).collect())
+        });
+        self.field_names_cache.borrow_mut().insert(p, names.clone());
+        names
     }
 
     /// Looks up method `m` on class `p`: returns the *most derived*
@@ -629,9 +824,9 @@ impl ClassTable {
         let mut queue = std::collections::VecDeque::from([p]);
         let mut seen = HashSet::from([p]);
         while let Some(q) = queue.pop_front() {
-            let info = self.classes.borrow()[q.0 as usize].clone();
-            if let Some(sig) = info.methods.iter().find(|sig| sig.name == m) {
-                return Some((q, sig.clone()));
+            let sig = self.with_class(q, |c| c.methods.iter().find(|sig| sig.name == m).cloned());
+            if let Some(sig) = sig {
+                return Some((q, sig));
             }
             for s in self.direct_supers(q) {
                 if seen.insert(s) {

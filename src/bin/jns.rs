@@ -51,11 +51,6 @@
 //!       the observed MAD); exit 0 = within tolerance, 2 = regression,
 //!       3 = a `--gate`-named benchmark regressed (hard CI failure),
 //!       1 = malformed document or I/O error
-//!   jns bench-serve [--workers N] [--requests N] [--packets N]
-//!                   [--repeat N] [--json PATH]
-//!       the §2.4 service-dispatch batch workload on 1 worker and on N
-//!       workers, `--repeat` timed batches each; writes a `jns-bench/2`
-//!       suite with the speedup to PATH (default BENCH_serve.json)
 //!   jns trace-report <file.jsonl>
 //!       analyzes a `--trace` JSONL stream: phase timings, request
 //!       latency table, GC pauses, the top inline-cache-miss sites, and
@@ -82,7 +77,6 @@ fn usage() -> ExitCode {
          \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
          \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...\n\
-         \x20      jns bench-serve [--workers N] [--requests N] [--packets N] [--repeat N] [--json PATH]\n\
          \x20      jns trace-report <file.jsonl>"
     );
     ExitCode::FAILURE
@@ -786,6 +780,18 @@ fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
 
 /// `jns bench`: measures the requested suites with warmup + repeated
 /// runs and writes one pinned `BENCH_<suite>.json` per suite.
+/// For a suite with `pool1` and larger `poolN` arms (the serve suite):
+/// the median batch time on one worker over that on the largest pool.
+fn pool_speedup(doc: &BenchDoc) -> Option<f64> {
+    let workers = |e: &&BenchEntry| e.backend.strip_prefix("pool")?.parse::<u64>().ok();
+    let single = doc.benchmarks.iter().find(|e| workers(e) == Some(1))?;
+    let multi = doc.benchmarks.iter().max_by_key(|e| workers(e))?;
+    if workers(&multi)? <= 1 {
+        return None;
+    }
+    Some(single.summary().median as f64 / multi.summary().median.max(1) as f64)
+}
+
 fn cmd_bench(mut args: Vec<String>) -> ExitCode {
     if take_flag(&mut args, "--compare") {
         return cmd_bench_compare(args);
@@ -814,6 +820,10 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
     };
     if args.len() != 1 {
         return usage();
+    }
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("error: cannot create {out_dir}: {e}");
+        return ExitCode::FAILURE;
     }
     if suites.is_empty() {
         suites = bench::workloads::SUITES
@@ -854,119 +864,16 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
             );
             doc.benchmarks.push(entry);
         }
+        if let Some(speedup) = pool_speedup(&doc) {
+            eprintln!("  speedup of the largest pool over pool1 (median): {speedup:.2}x");
+            doc.extra.push(("speedup", speedup.into()));
+        }
         let path = format!("{out_dir}/BENCH_{suite_name}.json");
         if write_text(&path, &(doc.to_json() + "\n")).is_err() {
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {path}");
     }
-    ExitCode::SUCCESS
-}
-
-/// One bench arm (`single` / `multi`) as a detail JSON object (carried
-/// as extra keys on the `jns-bench/2` serve document).
-fn bench_arm_json(report: &jns_serve::ServeReport) -> jns_obs::Json {
-    let t = &report.telemetry;
-    jns_obs::Json::obj(vec![
-        ("workers", report.workers.into()),
-        ("requests", report.responses.len().into()),
-        ("elapsed_us", (report.elapsed.as_micros() as u64).into()),
-        ("rps", report.throughput_rps().into()),
-        ("queue_wait_us", t.queue_wait.to_json()),
-        ("exec_us", t.exec.to_json()),
-        ("queue_high_water", t.queue_high_water.into()),
-        ("submit_blocked", t.submit_blocked.into()),
-    ])
-}
-
-fn cmd_bench_serve(mut args: Vec<String>) -> ExitCode {
-    let (workers, requests, packets, repeat) = match (
-        take_opt(&mut args, "--workers", 4),
-        take_opt(&mut args, "--requests", 64),
-        take_opt(&mut args, "--packets", 60),
-        take_opt(&mut args, "--repeat", 5),
-    ) {
-        (Ok(w), Ok(r), Ok(p), Ok(n)) => (w.max(1), r.max(1), p.max(1) as u32, n.max(1) as u32),
-        (Err(m), _, _, _) | (_, Err(m), _, _) | (_, _, Err(m), _) | (_, _, _, Err(m)) => {
-            eprintln!("error: {m}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let json_path = match take_path(&mut args, "--json") {
-        Ok(p) => p.unwrap_or_else(|| "BENCH_serve.json".to_string()),
-        Err(code) => return code,
-    };
-    if args.len() != 1 {
-        return usage();
-    }
-    let src = jns_serve::workload::service_dispatch(packets);
-    let compiled = match Compiler::new().with_backend(Backend::Vm).compile(&src) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("internal workload does not compile: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "§2.4 service-dispatch batch: {requests} requests × {packets} packets, \
-         {repeat} timed batches per arm"
-    );
-    // One warmup batch plus `repeat` timed batches per arm; each timed
-    // batch contributes one whole-batch wall-clock sample.
-    let measure = |workers: usize| -> (Vec<u64>, jns_serve::ServeReport) {
-        let cfg = ServeConfig::with_workers(workers);
-        let mut last = serve_batch(&compiled, &cfg, requests);
-        let mut samples = Vec::with_capacity(repeat as usize);
-        for _ in 0..repeat {
-            last = serve_batch(&compiled, &cfg, requests);
-            samples.push(last.elapsed.as_micros().min(u64::MAX as u128) as u64);
-        }
-        (samples, last)
-    };
-    let (single_samples, single) = measure(1);
-    report_serve(&single, false);
-    let (multi_samples, multi) = measure(workers as usize);
-    report_serve(&multi, false);
-    if !single.uniform() || !multi.uniform() {
-        eprintln!("error: outputs diverged across requests");
-        return ExitCode::FAILURE;
-    }
-    if single.responses.first().map(|r| (&r.output, &r.value))
-        != multi.responses.first().map(|r| (&r.output, &r.value))
-    {
-        eprintln!("error: outputs diverged between worker counts");
-        return ExitCode::FAILURE;
-    }
-    let median_single = jns_obs::median(&single_samples).max(1);
-    let median_multi = jns_obs::median(&multi_samples).max(1);
-    let speedup = median_single as f64 / median_multi as f64;
-    eprintln!(
-        "latency at {workers} workers: exec {}",
-        multi.telemetry.exec.render_line("µs")
-    );
-    eprintln!("speedup at {workers} workers (median batch): {speedup:.2}x");
-    let mut doc = BenchDoc::new("serve", repeat, 1);
-    for (samples, pool) in [(single_samples, 1u64), (multi_samples, workers)] {
-        doc.benchmarks.push(BenchEntry {
-            name: format!("serve_batch/pool{pool}"),
-            unit: "us",
-            workload: "serve_batch".to_string(),
-            backend: format!("pool{pool}"),
-            samples,
-        });
-    }
-    doc.extra = vec![
-        ("workload", "service_dispatch".into()),
-        ("packets", packets.into()),
-        ("requests", requests.into()),
-        ("speedup", speedup.into()),
-        ("single", bench_arm_json(&single)),
-        ("multi", bench_arm_json(&multi)),
-    ];
-    if write_text(&json_path, &(doc.to_json() + "\n")).is_err() {
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {json_path}");
     ExitCode::SUCCESS
 }
 
@@ -1135,7 +1042,6 @@ fn main() -> ExitCode {
         Some("run") | Some("check") => cmd_run(args),
         Some("serve") => cmd_serve(args),
         Some("bench") => cmd_bench(args),
-        Some("bench-serve") => cmd_bench_serve(args),
         Some("trace-report") => cmd_trace_report(args),
         _ => usage(),
     }

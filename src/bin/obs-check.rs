@@ -7,9 +7,9 @@
 //!   obs-check trace <file.jsonl>    a `jns-trace/1` JSON Lines stream
 //!                                   (from `--trace`)
 //!   obs-check bench <file.json>     a `jns-bench/2` suite document
-//!                                   (from `jns bench` / `jns bench-serve`;
-//!                                   the legacy `jns-bench/1` layout is
-//!                                   still accepted)
+//!                                   (from `jns bench`; the legacy
+//!                                   `jns-bench/1` layout is still
+//!                                   accepted)
 //!   obs-check folded <file.txt>     collapsed-stack sampler output
 //!                                   (from `--profile-folded`)
 //!
@@ -109,7 +109,7 @@ fn check_bench(path: &str) -> Result<(), String> {
     }
 }
 
-/// The legacy single-shot `jns bench-serve` layout, kept readable so
+/// The legacy single-shot serve-bench layout, kept readable so
 /// pinned artifacts from older commits still validate.
 fn check_bench_v1(doc: &Json) -> Result<(), String> {
     if doc.get("workload").and_then(Json::as_str).is_none() {

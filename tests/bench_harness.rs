@@ -5,7 +5,7 @@
 //!   --compare` exits 0 on identical documents, 2 when a benchmark's
 //!   samples are scaled far past tolerance, and 1 on malformed input —
 //!   the three-way protocol CI's warn-vs-fail logic relies on.
-//! - **`bench-serve` emits a valid `jns-bench/2` suite** that
+//! - **`bench --suite serve` emits a valid `jns-bench/2` suite** that
 //!   `obs-check bench` accepts, with one entry per pool arm and the
 //!   speedup as an extra key.
 //! - **Dropped trace events surface.** A serve run whose per-worker
@@ -70,26 +70,18 @@ fn compare_gate_distinguishes_clean_regressed_and_malformed() {
 }
 
 #[test]
-fn bench_serve_emits_valid_v2_suite() {
+fn serve_suite_emits_valid_v2_suite() {
     let dir = temp_dir("serve");
-    let out = dir.join("BENCH_serve.json");
     let status = Command::new(env!("CARGO_BIN_EXE_jns"))
         .args([
-            "bench-serve",
-            "--requests",
-            "4",
-            "--packets",
-            "3",
-            "--repeat",
-            "2",
-            "--workers",
-            "2",
-            "--json",
+            "bench", "--suite", "serve", "--repeat", "2", "--warmup", "0",
         ])
-        .arg(&out)
+        .arg("--out-dir")
+        .arg(&dir)
         .status()
         .expect("spawn jns");
-    assert!(status.success(), "bench-serve must succeed");
+    assert!(status.success(), "bench --suite serve must succeed");
+    let out = dir.join("BENCH_serve.json");
 
     let check = Command::new(env!("CARGO_BIN_EXE_obs-check"))
         .arg("bench")
@@ -108,7 +100,7 @@ fn bench_serve_emits_valid_v2_suite() {
         .iter()
         .filter_map(|b| b.get("name").and_then(Json::as_str))
         .collect();
-    assert_eq!(names, ["serve_batch/pool1", "serve_batch/pool2"]);
+    assert_eq!(names, ["serve_batch/pool4", "serve_batch/pool1"]);
     assert!(
         doc.get("speedup").and_then(Json::as_f64).is_some(),
         "speedup rides along as an extra key"
