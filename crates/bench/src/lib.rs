@@ -1,38 +1,18 @@
 //! # bench
 //!
-//! The benchmark harness for every table and figure of the paper's
-//! evaluation (§7). Each binary prints the corresponding table; the
-//! criterion benches provide statistically robust timings of the same
-//! workloads.
+//! The benchmark workloads for every timed table and figure of the
+//! paper's evaluation (§7). [`workloads`] names each one; `jns bench`
+//! times them and writes one `jns-bench/2` document per suite. The two
+//! binaries report statistics that are not timings.
 //!
-//! | Artifact | Binary | Criterion bench |
-//! |----------|--------|-----------------|
-//! | Table 1 (jolden) | `table1` | `table1` |
-//! | Table 2 (tree traversal) | `table2` | `table2` |
-//! | §7.3 / Fig. 20 (lambda compiler) | `lambda_stats` | `lambda` |
-//! | §7.4 (CorONA evolution) | `corona_evolution` | — |
-//! | §6.3 ablations | — | `dispatch`, `viewmemo` |
+//! | Artifact | `jns bench` suite | Binary |
+//! |----------|-------------------|--------|
+//! | Table 1 (jolden) | `table1` | — |
+//! | Table 2 (tree traversal) | `table2` | — |
+//! | §7.3 / Fig. 20 (lambda compiler) | `vm` | `lambda_stats` (node reuse) |
+//! | §7.4 (CorONA evolution) | — | `corona_evolution` (hop counts) |
+//! | §6.3 ablations | `dispatch` | — |
 
 #![warn(missing_docs)]
 
 pub mod workloads;
-
-use std::time::Instant;
-
-/// Times a closure, returning (result, seconds).
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
-
-/// Formats seconds like the paper's tables (two decimals).
-pub fn fmt_secs(s: f64) -> String {
-    if s < 0.0001 {
-        format!("{:.1}µs", s * 1e6)
-    } else if s < 0.1 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{s:.2}s")
-    }
-}

@@ -1,36 +1,45 @@
-//! The benchmark workloads as reusable, nameable closures — one source
-//! of truth shared by the criterion benches (`benches/`) and the
-//! `jns bench` CLI driver that pins `BENCH_*.json` baselines.
+//! The benchmark workloads as reusable, nameable closures: the one
+//! source of truth `jns bench` times into the pinned `BENCH_*.json`
+//! baselines.
 //!
-//! Four suites (see [`SUITES`]):
+//! Six suites (see [`SUITES`]):
 //!
-//! - **`vm`** — backend shoot-out on the paper's two flagship programs:
+//! - **`vm`**: backend shoot-out on the paper's two flagship programs,
 //!   the §7.3 lambda compiler and the §2.4 service evolution, each on
 //!   the tree-walking interpreter and the bytecode VM, plus the VM's
 //!   one-time bytecode-lowering cost.
-//! - **`dispatch`** — the §6.3 ablations over the four Table 1
+//! - **`dispatch`**: the §6.3 ablations over the four Table 1
 //!   implementation strategies (a tight virtual-call loop per strategy)
 //!   and the view-change memoisation microbenchmarks.
-//! - **`gc`** — the allocation-churn program with the collector off and
+//! - **`gc`**: the allocation-churn program with the collector off and
 //!   under shrinking live-heap limits, on both backends.
-//! - **`serve`** — whole-batch serving throughput over the worker pool
+//! - **`serve`**: whole-batch serving throughput over the worker pool
 //!   (fixed worker count, so numbers compare across machines with
 //!   different core counts).
+//! - **`table1`**: Table 1 (§7.1), every jolden kernel under every
+//!   implementation strategy at its default size.
+//! - **`table2`**: Table 2 (§7.2), the five tree-traversal rows at
+//!   heights 16, 18 and 20.
 //!
 //! Every workload is deterministic in its *work* (identical instruction
 //! streams run to run); only wall-clock varies, which is what the
 //! `jns-obs` robust statistics are for.
 
 use jns_core::{lambda, service, Backend, Compiled, Compiler};
+use jns_rt::shared::TreeBench;
 use jns_rt::{MethodId, ObjRef, Runtime, Strategy, Val};
 use jns_serve::{serve_batch, ServeConfig};
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 /// Suite names [`suite`] accepts, in canonical order.
-pub const SUITES: [&str; 4] = ["vm", "dispatch", "gc", "serve"];
+pub const SUITES: [&str; 6] = ["vm", "dispatch", "gc", "serve", "table1", "table2"];
 
-/// One runnable benchmark workload: a closure plus the naming metadata
-/// a `jns-bench/2` entry carries.
+/// One timed pass of a workload.
+pub type Pass = Box<dyn FnMut()>;
+
+/// One runnable benchmark workload: the setup that builds its pass,
+/// plus the naming metadata a `jns-bench/2` entry carries.
 pub struct Workload {
     /// Full entry name, `workload/backend` (unique within a suite).
     pub name: String,
@@ -38,22 +47,34 @@ pub struct Workload {
     pub workload: String,
     /// The backend/strategy half (what is executing it).
     pub backend: String,
-    run: Box<dyn FnMut()>,
+    setup: Box<dyn FnOnce() -> Pass>,
 }
 
 impl Workload {
-    fn new(workload: &str, backend: &str, run: Box<dyn FnMut()>) -> Workload {
+    fn new(workload: &str, backend: &str, run: Pass) -> Workload {
+        Workload::with_setup(workload, backend, move || run)
+    }
+
+    /// A workload whose fixture is built by `setup` only when it is
+    /// prepared, so building a suite stays cheap and only one large
+    /// fixture is alive at a time.
+    fn with_setup(
+        workload: &str,
+        backend: &str,
+        setup: impl FnOnce() -> Pass + 'static,
+    ) -> Workload {
         Workload {
             name: format!("{workload}/{backend}"),
             workload: workload.to_string(),
             backend: backend.to_string(),
-            run,
+            setup: Box::new(setup),
         }
     }
 
-    /// Executes the workload once (one timed pass = one sample).
-    pub fn run_once(&mut self) {
-        (self.run)()
+    /// Builds the fixture (untimed) and returns the pass to time: one
+    /// call of it is one sample.
+    pub fn prepare(self) -> Pass {
+        (self.setup)()
     }
 }
 
@@ -72,6 +93,8 @@ pub fn suite(name: &str) -> Option<Vec<Workload>> {
         "dispatch" => Some(dispatch_suite()),
         "gc" => Some(gc_suite()),
         "serve" => Some(serve_suite()),
+        "table1" => Some(table1_suite()),
+        "table2" => Some(table2_suite()),
         _ => None,
     }
 }
@@ -509,6 +532,106 @@ fn serve_suite() -> Vec<Workload> {
     out
 }
 
+// --------------------------------------------------------------- table1
+
+/// Table 1: one arm per jolden kernel and strategy, at the kernel's
+/// default size. Every arm asserts that its checksum equals the
+/// kernel's `direct` checksum, which the first arm of a kernel to be
+/// prepared computes once, outside timing.
+fn table1_suite() -> Vec<Workload> {
+    let mut out = Vec::new();
+    for k in jolden::kernels() {
+        let direct: Rc<OnceCell<i64>> = Rc::default();
+        for s in Strategy::ALL {
+            let direct = Rc::clone(&direct);
+            let (name, run, size) = (k.name, k.run, k.default_size);
+            out.push(Workload::with_setup(name, strategy_slug(s), move || {
+                let want = *direct.get_or_init(|| run(Strategy::Direct, size));
+                Box::new(move || {
+                    assert_eq!(
+                        run(s, size),
+                        want,
+                        "{name} under {s:?} disagrees with direct"
+                    );
+                })
+            }));
+        }
+    }
+    out
+}
+
+// --------------------------------------------------------------- table2
+
+/// Tree heights of the `table2` suite: Table 2's three columns.
+const TABLE2_HEIGHTS: [u32; 3] = [16, 18, 20];
+
+/// Table 2: the five rows at each height, named `<row>/h<height>`.
+///
+/// `traversal_before` and `traversal_after` time one traversal of a
+/// tree built at preparation. The other three rows build, and drop,
+/// their own runtime and tree inside every pass:
+///
+/// - `creation` is exactly that;
+/// - `view_change_sweep` re-views the root and makes the first
+///   traversal, which performs every lazy implicit view change. A first
+///   view change cannot be repeated on the same object, so the tree is
+///   built in the timed region, as in `viewmemo_first`;
+/// - `explicit_translation` copies the tree into the display family.
+///   The object-model runtime never frees, so repeating the copy on one
+///   tree would grow memory by a whole tree per pass.
+///
+/// Subtract the `creation` median from `view_change_sweep` and
+/// `explicit_translation` for the paper's rows. Both include the same
+/// creation cost, so they compare with each other directly.
+fn table2_suite() -> Vec<Workload> {
+    let mut out = Vec::new();
+    for h in TABLE2_HEIGHTS {
+        let col = format!("h{h}");
+        let nodes = TreeBench::node_count(h) as i64;
+        out.push(Workload::new(
+            "creation",
+            &col,
+            Box::new(move || {
+                TreeBench::new().create(h);
+            }),
+        ));
+        out.push(Workload::with_setup("traversal_before", &col, move || {
+            let mut tb = TreeBench::new();
+            let root = tb.create(h);
+            Box::new(move || assert_eq!(tb.traverse(root), nodes))
+        }));
+        out.push(Workload::new(
+            "view_change_sweep",
+            &col,
+            Box::new(move || {
+                let mut tb = TreeBench::new();
+                let root = tb.create(h);
+                let viewed = tb.view_root(root);
+                assert_eq!(tb.traverse(viewed), 2 * nodes);
+            }),
+        ));
+        out.push(Workload::with_setup("traversal_after", &col, move || {
+            let mut tb = TreeBench::new();
+            let root = tb.create(h);
+            let viewed = tb.view_root(root);
+            // The first traversal makes every view change; passes then
+            // traverse through the memoised views.
+            assert_eq!(tb.traverse(viewed), 2 * nodes);
+            Box::new(move || assert_eq!(tb.traverse(viewed), 2 * nodes))
+        }));
+        out.push(Workload::new(
+            "explicit_translation",
+            &col,
+            Box::new(move || {
+                let mut tb = TreeBench::new();
+                let root = tb.create(h);
+                tb.explicit_translate(root);
+            }),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,6 +647,16 @@ mod tests {
             assert_eq!(names.len(), ws.len(), "duplicate names in suite {s}");
         }
         assert!(suite("nope").is_none());
+    }
+
+    #[test]
+    fn table_suites_have_one_arm_per_cell() {
+        let t1 = suite("table1").expect("table1");
+        assert_eq!(t1.len(), jolden::kernels().len() * Strategy::ALL.len());
+        assert_eq!(t1[0].name, "bh/direct");
+        let t2 = suite("table2").expect("table2");
+        assert_eq!(t2.len(), 15);
+        assert_eq!(t2[0].name, "creation/h16");
     }
 
     #[test]

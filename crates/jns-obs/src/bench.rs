@@ -23,9 +23,8 @@
 //! the unit is the entry's convention, `"us"` throughout the repo), so a
 //! comparison recomputes the robust statistics instead of trusting the
 //! producer. Producers may append extra top-level keys (e.g. the serve
-//! suite's `speedup`); validators ignore them. The previous
-//! single-shot `jns-bench/1` layout is still accepted by `obs-check`
-//! for back-compat but is no longer produced.
+//! suite's `speedup`); validators ignore them. The earlier single-shot
+//! `jns-bench/1` layout is rejected.
 
 use crate::json::Json;
 use crate::stats::{self, Summary, Tolerance, Verdict};
@@ -124,9 +123,9 @@ pub struct BenchDoc {
     pub warmup: u32,
     /// The measured benchmarks, in a stable producer-chosen order.
     pub benchmarks: Vec<BenchEntry>,
-    /// Extra top-level facts (e.g. `("speedup", 3.1.into())`), appended
-    /// after the required keys; validators ignore them.
-    pub extra: Vec<(&'static str, Json)>,
+    /// Extra top-level facts (e.g. `("speedup".into(), 3.1.into())`),
+    /// appended after the required keys; validators ignore them.
+    pub extra: Vec<(String, Json)>,
 }
 
 impl BenchDoc {
@@ -161,7 +160,7 @@ impl BenchDoc {
                 Json::Arr(self.benchmarks.iter().map(BenchEntry::to_json).collect()),
             ),
         ];
-        pairs.extend(self.extra.iter().map(|(k, v)| (*k, v.clone())));
+        pairs.extend(self.extra.iter().map(|(k, v)| (k.as_str(), v.clone())));
         Json::obj(pairs).to_string()
     }
 }

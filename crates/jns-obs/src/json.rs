@@ -6,7 +6,7 @@
 //! keys, arrays, strings, integers, floats, booleans, and null. The
 //! writer preserves insertion order — the profile/trace schemas promise
 //! stable key order — and the parser is a plain recursive-descent reader
-//! used by the schema-validity tests and the `obs-check` CI binary.
+//! used by the schema validators and `jns validate`.
 
 use std::fmt;
 

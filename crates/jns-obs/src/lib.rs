@@ -31,7 +31,9 @@
 //!   regression gate compares.
 //!
 //! The [`json`] module is the self-contained writer/parser backing the
-//! schemas (and the `obs-check` CI validator).
+//! schemas. Each schema has its validator here ([`validate_profile`],
+//! [`validate_trace`], [`validate_bench`], [`validate_folded`]), which
+//! `jns validate` runs on artifact files.
 
 #![warn(missing_docs)]
 
@@ -51,6 +53,6 @@ pub use profile::{
 };
 pub use stats::{compare, mad, median, sample_us, SampleConfig, Summary, Tolerance, Verdict};
 pub use trace::{
-    jsonl, merge_events, IcKind, TimedEvent, TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP,
-    TRACE_SCHEMA,
+    jsonl, merge_events, validate_trace, IcKind, TimedEvent, TraceBuffer, TraceEvent,
+    DEFAULT_TRACE_CAP, TRACE_SCHEMA,
 };

@@ -15,6 +15,7 @@
 //! Export is JSON Lines: [`jsonl`] renders a header line carrying the
 //! schema id ([`TRACE_SCHEMA`]) followed by one object per event, sorted
 //! by timestamp when buffers from several workers are merged.
+//! [`validate_trace`] checks a stream against that format.
 
 use crate::json::Json;
 use std::time::Instant;
@@ -289,6 +290,71 @@ pub fn merge_events(mut shards: Vec<Vec<TimedEvent>>) -> Vec<TimedEvent> {
     all
 }
 
+/// Validates a `jns-trace/1` JSON Lines stream: a `trace_start` header
+/// carrying the schema id, a numeric `dropped` count and an `events`
+/// count equal to the number of event lines, then one object per line
+/// with non-decreasing `t_us`, a known `ev` tag and that tag's keys.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first violation.
+pub fn validate_trace(text: &str) -> Result<(), String> {
+    let mut lines = text.lines().enumerate();
+    let Some((_, header)) = lines.next() else {
+        return Err("empty trace file".to_string());
+    };
+    let header = crate::json::parse(header)?;
+    if header.get("ev").and_then(Json::as_str) != Some("trace_start") {
+        return Err("first line must be the trace_start header".to_string());
+    }
+    if header.get("schema").and_then(Json::as_str) != Some(TRACE_SCHEMA) {
+        return Err(format!("header schema must be {TRACE_SCHEMA:?}"));
+    }
+    let declared = header
+        .get("events")
+        .and_then(Json::as_u64)
+        .ok_or("header needs a numeric `events` count")?;
+    if header.get("dropped").and_then(Json::as_u64).is_none() {
+        return Err("header needs a numeric `dropped` count".to_string());
+    }
+    let mut seen = 0u64;
+    let mut last_t = 0u64;
+    for (i, line) in lines {
+        let n = i + 1;
+        let ev = crate::json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+        let t = ev
+            .get("t_us")
+            .and_then(Json::as_u64)
+            .ok_or(format!("line {n}: missing numeric t_us"))?;
+        if t < last_t {
+            return Err(format!("line {n}: timestamps must be non-decreasing"));
+        }
+        last_t = t;
+        let tag = ev
+            .get("ev")
+            .and_then(Json::as_str)
+            .ok_or(format!("line {n}: missing ev tag"))?;
+        let required: &[&str] = match tag {
+            "phase" => &["name", "micros"],
+            "request_start" => &["id"],
+            "request_end" => &["id", "ok", "queue_us", "exec_us"],
+            "gc" => &["kind", "reclaimed", "live", "peak_live", "pause_us"],
+            "ic_miss" => &["kind", "site", "view"],
+            other => return Err(format!("line {n}: unknown ev tag {other:?}")),
+        };
+        if let Some(key) = required.iter().find(|k| ev.get(k).is_none()) {
+            return Err(format!("line {n}: {tag} event needs `{key}`"));
+        }
+        seen += 1;
+    }
+    if seen != declared {
+        return Err(format!(
+            "header declares {declared} events, file has {seen}"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +393,81 @@ mod tests {
             assert!(v.get("t_us").is_some());
             assert_eq!(v.get("worker").and_then(Json::as_u64), Some(3));
             assert!(v.get("ev").and_then(Json::as_str).is_some());
+        }
+    }
+
+    /// A stream with one event of every kind, as `jsonl` writes it.
+    fn every_kind_stream() -> String {
+        let mut b = TraceBuffer::new(16);
+        b.push(TraceEvent::Phase {
+            name: "parse",
+            micros: 3,
+        });
+        b.push(TraceEvent::RequestStart { id: 1 });
+        b.push(TraceEvent::RequestEnd {
+            id: 1,
+            ok: true,
+            queue_us: 1,
+            exec_us: 2,
+        });
+        b.push(TraceEvent::Gc {
+            kind: "major",
+            reclaimed: 5,
+            live: 1,
+            peak_live: 6,
+            pause_us: 1,
+        });
+        b.push(TraceEvent::IcMiss {
+            kind: IcKind::Call,
+            site: 0,
+            view: 2,
+        });
+        jsonl(b.events(), b.dropped())
+    }
+
+    #[test]
+    fn validate_trace_accepts_a_written_stream() {
+        validate_trace(&every_kind_stream()).unwrap();
+        validate_trace(&jsonl(&[], 4)).unwrap();
+    }
+
+    /// A stream whose header declares `declared` events, then `events`.
+    fn stream(declared: usize, events: &[&str]) -> String {
+        let mut s = format!(
+            r#"{{"ev":"trace_start","schema":"{TRACE_SCHEMA}","events":{declared},"dropped":0}}"#
+        );
+        for e in events {
+            s.push('\n');
+            s.push_str(e);
+        }
+        s
+    }
+
+    #[test]
+    fn validate_trace_rejects_each_broken_rule() {
+        let early = r#"{"t_us":1,"ev":"request_start","id":1}"#;
+        let late = r#"{"t_us":5,"ev":"request_start","id":2}"#;
+        validate_trace(&stream(2, &[early, late])).unwrap();
+        let cases = [
+            (
+                every_kind_stream().replacen(TRACE_SCHEMA, "jns-trace/0", 1),
+                "header schema",
+            ),
+            (stream(3, &[early, late]), "declares 3 events, file has 2"),
+            (stream(2, &[late, early]), "non-decreasing"),
+            (
+                stream(1, &[r#"{"t_us":1,"ev":"teleport"}"#]),
+                "unknown ev tag",
+            ),
+            (
+                stream(1, &[r#"{"t_us":1,"ev":"phase","name":"parse"}"#]),
+                "needs `micros`",
+            ),
+            (String::new(), "empty"),
+        ];
+        for (text, why) in cases {
+            let err = validate_trace(&text).expect_err(why);
+            assert!(err.contains(why), "{err:?} should mention {why:?}");
         }
     }
 

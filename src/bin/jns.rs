@@ -41,10 +41,12 @@
 //!       event buffer into one JSONL stream, `--profile-json` exports
 //!       aggregate counters plus queue-wait/exec histograms
 //!   jns bench [--suite NAME]… [--repeat N] [--warmup N] [--out-dir DIR]
-//!       the performance-trajectory driver: runs the benchmark suites
-//!       (`vm`, `dispatch`, `gc`, `serve` — all four by default) with
-//!       warmup passes and repeated measured runs, and writes one
-//!       `jns-bench/2` document per suite (`BENCH_<suite>.json`)
+//!       the one timing harness: runs the benchmark suites (`vm`,
+//!       `dispatch`, `gc`, `serve`, and the paper's `table1` and
+//!       `table2` — all six by default) with warmup passes and repeated
+//!       measured runs, and writes one `jns-bench/2` document per suite
+//!       (`BENCH_<suite>.json`; `table1` adds each strategy's
+//!       geometric-mean slowdown against `direct`)
 //!   jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...
 //!       compares two `jns-bench/2` documents with the noise-tolerant
 //!       comparator (relative band `--frac`, default 0.25, widened by
@@ -55,6 +57,12 @@
 //!       analyzes a `--trace` JSONL stream: phase timings, request
 //!       latency table, GC pauses, the top inline-cache-miss sites, and
 //!       a warning when events were dropped
+//!   jns validate profile|trace|bench|folded <file>
+//!       checks an artifact against its schema: a `jns-profile/1`
+//!       document (`--profile-json`), a `jns-trace/1` stream (`--trace`),
+//!       a `jns-bench/2` document (`jns bench`) or collapsed stacks
+//!       (`--profile-folded`); exit 0 = conforms, 1 = unreadable or
+//!       invalid, with the first violation printed
 //!   jns --help
 
 use jns_core::{Backend, Compiler, RunOptions, RunOutput, Stats};
@@ -77,7 +85,8 @@ fn usage() -> ExitCode {
          \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
          \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...\n\
-         \x20      jns trace-report <file.jsonl>"
+         \x20      jns trace-report <file.jsonl>\n\
+         \x20      jns validate profile|trace|bench|folded <file>"
     );
     ExitCode::FAILURE
 }
@@ -778,8 +787,6 @@ fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `jns bench`: measures the requested suites with warmup + repeated
-/// runs and writes one pinned `BENCH_<suite>.json` per suite.
 /// For a suite with `pool1` and larger `poolN` arms (the serve suite):
 /// the median batch time on one worker over that on the largest pool.
 fn pool_speedup(doc: &BenchDoc) -> Option<f64> {
@@ -792,6 +799,36 @@ fn pool_speedup(doc: &BenchDoc) -> Option<f64> {
     Some(single.summary().median as f64 / multi.summary().median.max(1) as f64)
 }
 
+/// For the `table1` suite: each strategy's geometric-mean slowdown
+/// against `direct` over the kernels, from medians (the paper's Table 1
+/// headline), in first-seen strategy order.
+fn slowdowns_vs_direct(doc: &BenchDoc) -> Vec<(String, f64)> {
+    let median = |e: &BenchEntry| e.summary().median.max(1) as f64;
+    let mut logs: Vec<(String, f64, u32)> = Vec::new();
+    for e in doc.benchmarks.iter().filter(|e| e.backend != "direct") {
+        let Some(direct) = doc
+            .benchmarks
+            .iter()
+            .find(|d| d.backend == "direct" && d.workload == e.workload)
+        else {
+            continue;
+        };
+        let ln = (median(e) / median(direct)).ln();
+        match logs.iter_mut().find(|(b, ..)| *b == e.backend) {
+            Some((_, sum, n)) => {
+                *sum += ln;
+                *n += 1;
+            }
+            None => logs.push((e.backend.clone(), ln, 1)),
+        }
+    }
+    logs.into_iter()
+        .map(|(b, sum, n)| (b, (sum / f64::from(n)).exp()))
+        .collect()
+}
+
+/// `jns bench`: measures the requested suites with warmup + repeated
+/// runs and writes one pinned `BENCH_<suite>.json` per suite.
 fn cmd_bench(mut args: Vec<String>) -> ExitCode {
     if take_flag(&mut args, "--compare") {
         return cmd_bench_compare(args);
@@ -848,15 +885,15 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
             workloads.len()
         );
         let mut doc = BenchDoc::new(suite_name, repeat, warmup);
-        for mut w in workloads {
-            let samples = jns_obs::sample_us(cfg, || w.run_once());
-            let entry = BenchEntry {
+        for w in workloads {
+            let mut entry = BenchEntry {
                 name: w.name.clone(),
                 unit: "us",
                 workload: w.workload.clone(),
                 backend: w.backend.clone(),
-                samples,
+                samples: Vec::new(),
             };
+            entry.samples = jns_obs::sample_us(cfg, w.prepare());
             let s = entry.summary();
             eprintln!(
                 "  {:<44} median {:>8} µs (min {}, mad {})",
@@ -866,7 +903,16 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
         }
         if let Some(speedup) = pool_speedup(&doc) {
             eprintln!("  speedup of the largest pool over pool1 (median): {speedup:.2}x");
-            doc.extra.push(("speedup", speedup.into()));
+            doc.extra.push(("speedup".into(), speedup.into()));
+        }
+        if suite_name == "table1" {
+            for (strategy, slowdown) in slowdowns_vs_direct(&doc) {
+                eprintln!(
+                    "  geometric-mean slowdown of {strategy} over direct (median): {slowdown:.2}x"
+                );
+                doc.extra
+                    .push((format!("slowdown_{strategy}"), slowdown.into()));
+            }
         }
         let path = format!("{out_dir}/BENCH_{suite_name}.json");
         if write_text(&path, &(doc.to_json() + "\n")).is_err() {
@@ -1036,6 +1082,34 @@ fn cmd_trace_report(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `jns validate <kind> <file>`: checks one artifact against its schema.
+/// Exit 0 = conforms; 1 = unreadable or invalid, first violation printed.
+fn cmd_validate(args: Vec<String>) -> ExitCode {
+    let [_, kind, path] = args.as_slice() else {
+        return usage();
+    };
+    let check: fn(&str) -> Result<(), String> = match kind.as_str() {
+        "profile" => |t| jns_obs::validate_profile(&jns_obs::json::parse(t.trim())?),
+        "trace" => jns_obs::validate_trace,
+        "bench" => |t| jns_obs::validate_bench(&jns_obs::json::parse(t.trim())?),
+        "folded" => jns_obs::validate_folded,
+        _ => return usage(),
+    };
+    let result = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| check(&text));
+    match result {
+        Ok(()) => {
+            println!("{path}: ok ({kind})");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{path}: invalid {kind}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -1043,6 +1117,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(args),
         Some("bench") => cmd_bench(args),
         Some("trace-report") => cmd_trace_report(args),
+        Some("validate") => cmd_validate(args),
         _ => usage(),
     }
 }

@@ -1,13 +1,14 @@
 //! The performance-trajectory harness, end to end through the real
-//! binaries (`jns`, `obs-check`):
+//! `jns` binary:
 //!
 //! - **The regression gate sees planted regressions.** `jns bench
 //!   --compare` exits 0 on identical documents, 2 when a benchmark's
 //!   samples are scaled far past tolerance, and 1 on malformed input —
 //!   the three-way protocol CI's warn-vs-fail logic relies on.
 //! - **`bench --suite serve` emits a valid `jns-bench/2` suite** that
-//!   `obs-check bench` accepts, with one entry per pool arm and the
-//!   speedup as an extra key.
+//!   `jns validate bench` accepts, with one entry per pool arm and the
+//!   speedup as an extra key; the legacy `jns-bench/1` layout is
+//!   rejected.
 //! - **Dropped trace events surface.** A serve run whose per-worker
 //!   trace buffers are too small reports a non-zero drop count in its
 //!   telemetry instead of failing silently.
@@ -36,6 +37,17 @@ fn write_doc(dir: &std::path::Path, name: &str, samples: &[u64]) -> PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, doc.to_json() + "\n").expect("write doc");
     path
+}
+
+fn validate_bench(path: &std::path::Path) -> i32 {
+    Command::new(env!("CARGO_BIN_EXE_jns"))
+        .args(["validate", "bench"])
+        .arg(path)
+        .output()
+        .expect("spawn jns")
+        .status
+        .code()
+        .expect("exit code")
 }
 
 fn compare(old: &std::path::Path, new: &std::path::Path) -> i32 {
@@ -83,12 +95,11 @@ fn serve_suite_emits_valid_v2_suite() {
     assert!(status.success(), "bench --suite serve must succeed");
     let out = dir.join("BENCH_serve.json");
 
-    let check = Command::new(env!("CARGO_BIN_EXE_obs-check"))
-        .arg("bench")
-        .arg(&out)
-        .status()
-        .expect("spawn obs-check");
-    assert!(check.success(), "obs-check must accept the suite");
+    assert_eq!(
+        validate_bench(&out),
+        0,
+        "jns validate must accept the suite"
+    );
 
     let doc =
         jns_obs::json::parse(std::fs::read_to_string(&out).expect("read").trim()).expect("parses");
@@ -105,6 +116,14 @@ fn serve_suite_emits_valid_v2_suite() {
         doc.get("speedup").and_then(Json::as_f64).is_some(),
         "speedup rides along as an extra key"
     );
+
+    let v1 = dir.join("v1.json");
+    std::fs::write(
+        &v1,
+        r#"{"schema":"jns-bench/1","workload":"serve","speedup":1.5}"#,
+    )
+    .expect("write");
+    assert_eq!(validate_bench(&v1), 1, "jns-bench/1 is no longer accepted");
     std::fs::remove_dir_all(&dir).ok();
 }
 
