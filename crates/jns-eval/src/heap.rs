@@ -73,8 +73,7 @@
 //! major (ordinary floating garbage).
 
 use crate::value::{Loc, RefVal, Value};
-use jns_types::{ClassId, Name};
-use std::collections::HashMap;
+use jns_types::{ClassId, FxHashMap, Name};
 
 /// A heap object: a fixed slot vector (union layout) plus open cells.
 #[derive(Debug, Default)]
@@ -84,7 +83,7 @@ pub struct Obj {
     /// Open ⟨fclass-owner, field⟩ cells. Boxed so the slot-only common
     /// case costs one pointer per object, not an inline map.
     #[allow(clippy::box_collection)]
-    overflow: Option<Box<HashMap<(ClassId, Name), Value>>>,
+    overflow: Option<Box<FxHashMap<(ClassId, Name), Value>>>,
 }
 
 impl Obj {

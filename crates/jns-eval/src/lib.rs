@@ -25,12 +25,14 @@
 pub mod error;
 pub mod heap;
 pub mod machine;
+pub mod resolver;
 pub mod typeeval;
 pub mod value;
 
 pub use error::RtError;
 pub use heap::{GcStats, Heap, Obj};
 pub use machine::{Machine, Stats, DEFAULT_MAX_DEPTH};
+pub use resolver::{AllocPlan, PartnerErr, Resolver};
 pub use value::{Loc, MaskId, MaskPool, RefVal, Value};
 
 /// Convenience: parse, check, and run a source program, returning the

@@ -11,6 +11,25 @@
 //! allocation triggers the heap's mark-compact collector, with roots
 //! enumerated from the explicit stacks described below.
 //!
+//! # What is memoised, and why this is still Fig. 17
+//!
+//! The lookups of Fig. 17 that depend only on the checked program —
+//! `mbody(view, m)`, the interpreted field type `ftype(∅, view!, f)` that
+//! drives an implicit view change, `view! ≤ T`, the unique sharing
+//! partner under `T`, and the F-OK mask set and initialiser order of
+//! each class — are asked of the machine's [`Resolver`], which computes
+//! each once per (view, member) and keeps it across
+//! [`Machine::reset_for_request`]. Each is a pure function of the
+//! immutable program: the class table only grows, and materialising a
+//! class never changes an answer already given (`tests/resolver.rs`
+//! re-derives every memoised entry after each corpus run). What the
+//! semantics evaluates against the run-time state is still evaluated on
+//! every step: dependent types against the current frame, `fclass` and
+//! the ⟨ℓ, P, f⟩ cell on every access, and the mask subset test of the
+//! `view` function on every transition. The bytecode VM owns the same
+//! resolver, so both backends share one implementation of these
+//! lookups and of their error messages.
+//!
 //! # Execution model: an explicit-stack machine
 //!
 //! Evaluation does **not** recurse on the host stack. The machine is a
@@ -34,11 +53,12 @@
 
 use crate::error::RtError;
 use crate::heap::Heap;
+use crate::resolver::Resolver;
 use crate::typeeval;
-use crate::value::{Loc, MaskPool, RefVal, Value};
+use crate::value::{Loc, MaskId, RefVal, Value};
 use jns_syntax::{BinOp, UnOp};
-use jns_types::{CExpr, CheckedProgram, ClassId, Judge, Name, Ty, Type, TypeEnv};
-use std::collections::{BTreeSet, HashMap};
+use jns_types::{CExpr, CheckedProgram, ClassId, FxHashMap, Name, Ty, Type};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Execution statistics (used by tests and benches).
@@ -63,10 +83,10 @@ pub struct Stats {
     /// where the semantics builds a set: one per view transition, one per
     /// `grant` that removes a mask, and two per allocation (the F-OK
     /// `this` set and the object's final set). The VM counts one per
-    /// allocation (the F-OK set) plus one per *fresh* entry in its
-    /// [`MaskPool`] — repeated transitions reuse pooled ids, so this stays
-    /// far below `views_explicit + views_implicit`, and a warm VM (the
-    /// pool survives `reset_for_request`) pays fewer still.
+    /// allocation (the F-OK set) plus one per *fresh* entry in the mask
+    /// pool of its [`crate::Resolver`] — repeated transitions reuse pooled
+    /// ids, so this stays far below `views_explicit + views_implicit`, and
+    /// a warm VM (the pool survives `reset_for_request`) pays fewer still.
     pub mask_allocs: u64,
     /// Tracing collections run by the shared heap (0 with no
     /// `--heap-limit`; see [`crate::heap::Heap`]).
@@ -165,16 +185,16 @@ pub struct Machine<'p> {
     fuel: Option<u64>,
     depth: u32,
     max_depth: u32,
-    sub_memo: HashMap<(ClassId, Ty), bool>,
-    /// Interned mask sets of every reference this machine creates; like
-    /// `sub_memo`, survives [`Machine::reset_for_request`].
-    pub(crate) masks: MaskPool,
+    /// Memoised program-level lookups and the interned mask sets of every
+    /// reference this machine creates; survives
+    /// [`Machine::reset_for_request`].
+    pub(crate) res: Resolver<'p>,
     /// Optional structured-event sink (`None` keeps every hook a single
     /// branch, with byte-identical outputs and statistics).
     trace: Option<jns_obs::TraceBuffer>,
 }
 
-type Frame = HashMap<Name, Value>;
+type Frame = FxHashMap<Name, Value>;
 
 /// One unit of pending work on the control stack.
 enum Work<'a> {
@@ -215,7 +235,7 @@ enum Kont<'a> {
         provided: Vec<(Name, Value)>,
     },
     /// A declared field initialiser finished; write it and run the next.
-    AllocInit(Box<AllocState<'a>>),
+    AllocInit(Box<AllocState>),
     /// The viewed expression is on the value stack.
     View(&'a Type),
     /// The cast expression is on the value stack.
@@ -247,13 +267,14 @@ enum Kont<'a> {
 /// In-flight allocation: R-ALLOC suspended between field initialisers.
 /// The object's ℓ lives in `this_ref` (a GC root, so a collection during
 /// an initialiser forwards it like any other reference).
-struct AllocState<'a> {
+struct AllocState {
     class: ClassId,
     /// `this` during initialisation: all fields masked (F-OK).
     this_ref: RefVal,
-    masks: BTreeSet<Name>,
-    /// Declared initialisers in execution order (base-most first).
-    inits: Vec<(Name, &'a CExpr)>,
+    /// The object's masks: F-OK less the fields initialised so far.
+    masks: MaskId,
+    /// The class's allocation plan; `idx` indexes its initialisers.
+    plan: u32,
     idx: usize,
     provided: Vec<(Name, Value)>,
     /// The frame to restore once every initialiser has run.
@@ -359,8 +380,7 @@ impl<'p> Machine<'p> {
             fuel: None,
             depth: 0,
             max_depth: DEFAULT_MAX_DEPTH,
-            sub_memo: HashMap::new(),
-            masks: MaskPool::default(),
+            res: Resolver::new(prog),
             trace: None,
         }
     }
@@ -411,7 +431,7 @@ impl<'p> Machine<'p> {
     /// Region-style reclamation between top-level invocations (the same
     /// surface as `jns_vm::Vm::reset_for_request`): drops every heap
     /// object and clears per-request state — output, statistics, call
-    /// depth — while keeping the subtype memo and mask pool warm. Returns
+    /// depth — while keeping the resolver and its mask pool warm. Returns
     /// the number of heap objects reclaimed.
     pub fn reset_for_request(&mut self) -> usize {
         let reclaimed = self.heap.reset();
@@ -471,7 +491,7 @@ impl<'p> Machine<'p> {
         'p: 'a,
     {
         let entry_depth = self.depth;
-        let mut frame = Frame::new();
+        let mut frame = Frame::default();
         let mut ctrl: Vec<Work<'a>> = vec![Work::Eval(e)];
         let mut vals: Vec<Value> = Vec::new();
         let r = self.exec_loop(&mut frame, &mut ctrl, &mut vals);
@@ -512,7 +532,7 @@ impl<'p> Machine<'p> {
                     match e {
                         CExpr::Int(n) => vals.push(Value::Int(*n)),
                         CExpr::Bool(b) => vals.push(Value::Bool(*b)),
-                        CExpr::Str(s) => vals.push(Value::Str(Arc::from(s.as_str()))),
+                        CExpr::Str(s) => vals.push(Value::Str(s.clone())),
                         CExpr::Unit => vals.push(Value::Unit),
                         CExpr::Var(x) => {
                             let v = frame.get(x).cloned().ok_or_else(|| {
@@ -623,7 +643,7 @@ impl<'p> Machine<'p> {
                         let copy = self.prog.sharing.fclass(r.view, f);
                         self.heap.set(r.loc, copy, None, f, v.clone());
                         // grant(σ, x.f): the stack binding loses the mask (R-SET).
-                        let (granted, _) = self.masks.grant(r.masks, f);
+                        let (granted, _) = self.res.masks.grant(r.masks, f);
                         if granted != r.masks {
                             r.masks = granted;
                             self.stats.mask_allocs += 1;
@@ -698,22 +718,24 @@ impl<'p> Machine<'p> {
                     Kont::AllocInit(mut st) => {
                         self.depth -= 1;
                         let v = vals.pop().expect("field initialiser value");
-                        let fname = st.inits[st.idx].0;
+                        let inits = &self.res.plan(st.plan).inits;
+                        let fname = inits[st.idx].1;
+                        let next = inits.get(st.idx + 1).map(|&(_, _, init)| init);
                         let copy = self.prog.sharing.fclass(st.class, fname);
                         // `this_ref.loc` is the object's current ℓ (a GC
                         // during the initialiser may have forwarded it).
                         self.heap.set(st.this_ref.loc, copy, None, fname, v);
-                        st.masks.remove(&fname);
+                        st.masks = self.res.masks.grant(st.masks, fname).0;
                         st.idx += 1;
-                        match st.inits.get(st.idx) {
-                            Some(&(_, init)) => {
+                        match next {
+                            Some(init) => {
                                 if self.depth >= self.max_depth {
                                     return Err(RtError::DepthExceeded(self.max_depth));
                                 }
                                 self.depth += 1;
                                 // Each initialiser runs in its own frame
                                 // holding only `this`.
-                                let mut f = Frame::new();
+                                let mut f = Frame::default();
                                 f.insert(self.prog.table.this_name, Value::Ref(st.this_ref));
                                 *frame = f;
                                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
@@ -746,7 +768,8 @@ impl<'p> Machine<'p> {
                         match v {
                             Value::Ref(r) => {
                                 let (target, _masks) = typeeval::eval_type(self, frame, &ty.ty)?;
-                                if self.view_subtype(r.view, &target) {
+                                let tid = self.res.intern_ty(&target);
+                                if self.res.view_subtype(r.view, tid) {
                                     vals.push(Value::Ref(r));
                                 } else {
                                     return Err(RtError::CastFailed(format!(
@@ -864,42 +887,31 @@ impl<'p> Machine<'p> {
             Some(v) => v,
             None => {
                 // §3.3 forwarding: read the other family's copy and re-view.
-                let mut found = None;
-                for alt in self.prog.sharing.forwards(r.view, f).to_vec() {
-                    if let Some(v) = self.heap.get(r.loc, alt, None, f) {
-                        found = Some(v);
-                        break;
-                    }
-                }
-                found.ok_or_else(|| {
-                    RtError::UninitialisedField(format!(
-                        "{}.{} (view {})",
-                        r.loc,
-                        self.prog.table.name_str(f),
-                        self.prog.table.class_name(r.view)
-                    ))
-                })?
+                self.prog
+                    .sharing
+                    .forwards(r.view, f)
+                    .iter()
+                    .find_map(|&alt| self.heap.get(r.loc, alt, None, f))
+                    .ok_or_else(|| {
+                        RtError::UninitialisedField(format!(
+                            "{}.{} (view {})",
+                            r.loc,
+                            self.prog.table.name_str(f),
+                            self.prog.table.class_name(r.view)
+                        ))
+                    })?
             }
         };
         match stored {
             Value::Ref(inner) => {
-                // ftype(∅, P!\f0, f) evaluated in the current view.
-                let ft = self.field_view_type(r.view, f)?;
-                let (ty, masks) = ft;
+                // ftype(∅, P!\f0, f) interpreted in the current view.
+                let (tid, masks) = self.res.field_type(r.view, f).0?;
                 self.stats.views_implicit += 1;
-                self.apply_view(inner, &ty, masks).map(Value::Ref)
+                self.stats.mask_allocs += 1;
+                self.res.apply_view(inner, tid, masks).map(Value::Ref)
             }
             prim => Ok(prim),
         }
-    }
-
-    /// The field type of `f` interpreted in view `view`, as a runtime type.
-    fn field_view_type(&self, view: ClassId, f: Name) -> Result<(Ty, BTreeSet<Name>), RtError> {
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let recv = Ty::Class(view).exact().unmasked();
-        let ft = judge.ftype(&recv, f).map_err(RtError::BadType)?;
-        Ok((judge.canon(&ft.ty), ft.masks))
     }
 
     // -------------------------------------------------------------- alloc
@@ -915,7 +927,7 @@ impl<'p> Machine<'p> {
         provided: Vec<(Name, Value)>,
     ) -> Result<Value, RtError> {
         let entry_depth = self.depth;
-        let mut frame = Frame::new();
+        let mut frame = Frame::default();
         let mut ctrl: Vec<Work<'p>> = vec![Work::Alloc { class, provided }];
         let mut vals: Vec<Value> = Vec::new();
         let r = self.exec_loop(&mut frame, &mut ctrl, &mut vals);
@@ -964,33 +976,23 @@ impl<'p> Machine<'p> {
             }
         }
         let loc = self.heap.alloc(0);
-        let prog = self.prog;
-        let all_fields: Vec<(ClassId, jns_types::FieldInfo)> = prog.table.fields_of(class);
-        let masks: BTreeSet<Name> = all_fields.iter().map(|(_, fi)| fi.name).collect();
+        let (plan, _) = self.res.alloc_plan(class);
+        let plan_ref = self.res.plan(plan);
         // `this` during initialisation: all fields masked (F-OK).
         self.stats.mask_allocs += 1;
+        let masks = plan_ref.fok;
         let this_ref = RefVal {
             loc,
             view: class,
-            masks: self.masks.intern(masks.clone()).0,
+            masks,
         };
         // Declared initialisers, base-most classes first.
-        let inits: Vec<(Name, &'a CExpr)> = all_fields
-            .iter()
-            .rev()
-            .filter(|(_, fi)| fi.has_init)
-            .filter_map(|(owner, fi)| {
-                prog.field_inits
-                    .get(&(*owner, fi.name))
-                    .map(|e| (fi.name, e))
-            })
-            .collect();
-        match inits.first() {
+        match plan_ref.inits.first() {
             None => {
                 let v = self.finalize_alloc(class, loc, masks, provided);
                 vals.push(v);
             }
-            Some(&(_, first)) => {
+            Some(&(_, _, first)) => {
                 if self.depth >= self.max_depth {
                     return Err(RtError::DepthExceeded(self.max_depth));
                 }
@@ -999,13 +1001,13 @@ impl<'p> Machine<'p> {
                     class,
                     this_ref,
                     masks,
-                    inits,
+                    plan,
                     idx: 0,
                     provided,
-                    saved: Frame::new(),
+                    saved: Frame::default(),
                 });
-                let mut f0 = Frame::new();
-                f0.insert(prog.table.this_name, Value::Ref(st.this_ref));
+                let mut f0 = Frame::default();
+                f0.insert(self.prog.table.this_name, Value::Ref(st.this_ref));
                 st.saved = std::mem::replace(frame, f0);
                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
                 ctrl.push(Work::Eval(first));
@@ -1019,19 +1021,19 @@ impl<'p> Machine<'p> {
         &mut self,
         class: ClassId,
         loc: Loc,
-        mut masks: BTreeSet<Name>,
+        mut masks: MaskId,
         provided: Vec<(Name, Value)>,
     ) -> Value {
         for (fname, v) in provided {
             let copy = self.prog.sharing.fclass(class, fname);
             self.heap.set(loc, copy, None, fname, v);
-            masks.remove(&fname);
+            masks = self.res.masks.grant(masks, fname).0;
         }
         self.stats.mask_allocs += 1;
         Value::Ref(RefVal {
             loc,
             view: class,
-            masks: self.masks.intern(masks).0,
+            masks,
         })
     }
 
@@ -1044,7 +1046,7 @@ impl<'p> Machine<'p> {
     /// is restored on error so the machine stays reusable.
     pub fn call(&mut self, r: RefVal, m: Name, args: Vec<Value>) -> Result<Value, RtError> {
         let entry_depth = self.depth;
-        let mut frame = Frame::new();
+        let mut frame = Frame::default();
         let mut ctrl: Vec<Work<'p>> = Vec::new();
         let mut vals: Vec<Value> = Vec::new();
         let res = self
@@ -1074,8 +1076,7 @@ impl<'p> Machine<'p> {
         if self.depth >= self.max_depth {
             return Err(RtError::DepthExceeded(self.max_depth));
         }
-        let prog = self.prog;
-        let Some((_owner, method)) = prog.mbody(r.view, m) else {
+        let Some((_owner, method)) = self.res.mbody(r.view, m) else {
             return Err(RtError::TypeMismatch(format!(
                 "no method `{}` on view `{}`",
                 self.prog.table.name_str(m),
@@ -1085,8 +1086,8 @@ impl<'p> Machine<'p> {
         if method.params.len() != args.len() {
             return Err(RtError::TypeMismatch("arity".into()));
         }
-        let mut callee = Frame::new();
-        callee.insert(prog.table.this_name, Value::Ref(r));
+        let mut callee = Frame::default();
+        callee.insert(self.prog.table.this_name, Value::Ref(r));
         for (x, v) in method.params.iter().zip(args) {
             callee.insert(*x, v);
         }
@@ -1110,52 +1111,9 @@ impl<'p> Machine<'p> {
         masks: BTreeSet<Name>,
     ) -> Result<RefVal, RtError> {
         self.stats.mask_allocs += 1;
-        let (masks, _) = self.masks.intern(masks);
-        // Case 1: current view already compatible.
-        if self.view_subtype(r.view, target) && self.masks.is_subset(r.masks, masks) {
-            return Ok(RefVal {
-                loc: r.loc,
-                view: r.view,
-                masks,
-            });
-        }
-        // Case 2: the unique shared partner below the target.
-        let partners = self.prog.sharing.partners(r.view);
-        let mut candidates = Vec::new();
-        for p in partners {
-            if p != r.view && self.view_subtype(p, target) {
-                candidates.push(p);
-            }
-        }
-        match candidates.len() {
-            1 => Ok(RefVal {
-                loc: r.loc,
-                view: candidates[0],
-                masks,
-            }),
-            0 => Err(RtError::ViewFailed(format!(
-                "`{}` has no shared view under `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(target)
-            ))),
-            _ => Err(RtError::ViewFailed(format!(
-                "ambiguous view change from `{}` to `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(target)
-            ))),
-        }
-    }
-
-    /// Whether view class `view` satisfies `view! ≤ target` (memoised).
-    pub fn view_subtype(&mut self, view: ClassId, target: &Ty) -> bool {
-        if let Some(&b) = self.sub_memo.get(&(view, target.clone())) {
-            return b;
-        }
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let b = judge.sub_pure(&Ty::Class(view).exact(), target);
-        self.sub_memo.insert((view, target.clone()), b);
-        b
+        let (masks, _) = self.res.masks.intern(masks);
+        let tid = self.res.intern_ty(target);
+        self.res.apply_view(r, tid, masks)
     }
 
     fn expect_ref(&self, v: Value) -> Result<RefVal, RtError> {
@@ -1233,20 +1191,22 @@ impl<'p> Machine<'p> {
             let Value::Ref(inner) = v else { continue };
             // Every partner view that reads this copy must be able to
             // re-view the stored value.
-            for view in self.prog.sharing.partners(copy) {
-                if self.prog.sharing.fclass(view, f) != copy {
+            let prog = self.prog;
+            for &view in prog.sharing.partners(&copy) {
+                if prog.sharing.fclass(view, f) != copy {
                     continue;
                 }
-                let Ok((ty, masks)) = self.field_view_type(view, f) else {
+                let Ok((tid, masks)) = self.res.field_type(view, f).0 else {
                     continue;
                 };
-                if self.apply_view(inner, &ty, masks).is_err() {
+                self.stats.mask_allocs += 1;
+                if self.res.apply_view(inner, tid, masks).is_err() {
                     bad.push(format!(
                         "heap[{loc}, {}, {}] holds `{}` not viewable at `{}`",
                         self.prog.table.class_name(copy),
                         self.prog.table.name_str(f),
                         self.prog.table.class_name(inner.view),
-                        self.prog.table.show_ty(&ty)
+                        prog.table.show_ty(self.res.ty(tid))
                     ));
                 }
             }
@@ -1262,6 +1222,11 @@ impl<'p> Machine<'p> {
     /// The program being executed.
     pub fn program(&self) -> &'p CheckedProgram {
         self.prog
+    }
+
+    /// The machine's run-time resolver (for audits of its memo tables).
+    pub fn resolver(&self) -> &Resolver<'p> {
+        &self.res
     }
 }
 

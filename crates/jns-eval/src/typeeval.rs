@@ -13,25 +13,23 @@
 
 use crate::error::RtError;
 use crate::machine::Machine;
-use crate::value::{MaskId, RefVal, Value};
-use jns_types::{CheckedProgram, ClassId, Name, Ty};
-use std::collections::{BTreeSet, HashMap};
+use crate::resolver::Resolver;
+use crate::value::{RefVal, Value};
+use jns_types::{ClassId, FxHashMap, Name, Ty};
+use std::collections::BTreeSet;
 
 /// What type evaluation needs from an execution backend: field reads
 /// (for dependent paths `p.f1…fn.class`, which follow the backend's own
-/// heap and view-change machinery), the mask sets behind its references'
-/// interned ids (for `p.class`), and the program being run.
+/// heap and view-change machinery), and its [`Resolver`]: the program
+/// being run and the mask sets behind its references' interned ids (for
+/// `p.class`).
 pub trait TypeEvalCtx {
     /// Reads `r.f` through `r`'s view, with the backend's lazy implicit
     /// view change applied to the result.
     fn read_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError>;
 
-    /// The mask set behind an id minted by this backend's
-    /// [`crate::MaskPool`].
-    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name>;
-
-    /// The checked program being executed.
-    fn checked_program(&self) -> &CheckedProgram;
+    /// The backend's run-time resolver.
+    fn resolver(&self) -> &Resolver<'_>;
 }
 
 impl TypeEvalCtx for Machine<'_> {
@@ -39,12 +37,8 @@ impl TypeEvalCtx for Machine<'_> {
         self.get_field(r, f)
     }
 
-    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name> {
-        self.masks.get(id)
-    }
-
-    fn checked_program(&self) -> &CheckedProgram {
-        self.program()
+    fn resolver(&self) -> &Resolver<'_> {
+        &self.res
     }
 }
 
@@ -71,7 +65,7 @@ const MAX_TYPE_DEPTH: u32 = 2_048;
 /// Evaluates a possibly dependent type against a [`Machine`] stack frame.
 pub fn eval_type(
     machine: &mut Machine<'_>,
-    frame: &HashMap<Name, Value>,
+    frame: &FxHashMap<Name, Value>,
     ty: &Ty,
 ) -> Result<(Ty, BTreeSet<Name>), RtError> {
     eval_type_in(machine, &|n| frame.get(&n).cloned(), ty)
@@ -91,7 +85,7 @@ fn go<C: TypeEvalCtx>(
         Ty::Prim(_) | Ty::Class(_) => ty.clone(),
         Ty::Dep(path) => {
             let mut v = vars(path.base).ok_or_else(|| {
-                RtError::UnboundVariable(ctx.checked_program().table.name_str(path.base))
+                RtError::UnboundVariable(ctx.resolver().program().table.name_str(path.base))
             })?;
             for f in &path.fields {
                 let r = v
@@ -103,7 +97,7 @@ fn go<C: TypeEvalCtx>(
             let r = v
                 .as_ref_val()
                 .ok_or_else(|| RtError::TypeMismatch("`.class` of primitive".into()))?;
-            masks.extend(ctx.mask_set(r.masks).iter().copied());
+            masks.extend(ctx.resolver().masks.get(r.masks).iter().copied());
             Ty::Class(r.view).exact()
         }
         Ty::Nested(inner, c) => {
@@ -114,7 +108,7 @@ fn go<C: TypeEvalCtx>(
             let i = go(ctx, vars, idx, masks, depth + 1)?;
             // Runtime prefix: walk up the enclosing classes of the (unique)
             // member of the evaluated index until one is a subtype of `p`.
-            let table = &ctx.checked_program().table;
+            let table = &ctx.resolver().program().table;
             let members = table.mem(&i);
             let Some(&m) = members.first() else {
                 return Err(RtError::BadType(format!(
@@ -163,7 +157,7 @@ pub fn eval_type_class_in<C: TypeEvalCtx>(
     ty: &Ty,
 ) -> Result<ClassId, RtError> {
     let (t, _masks) = eval_type_in(ctx, vars, ty)?;
-    let table = &ctx.checked_program().table;
+    let table = &ctx.resolver().program().table;
     // Canonicalise (resolves Nested over classes, prunes meets).
     let env = jns_types::TypeEnv::new();
     let judge = jns_types::Judge::new(table, &env);
@@ -186,7 +180,7 @@ pub fn eval_type_class_in<C: TypeEvalCtx>(
 /// stack frame.
 pub fn eval_type_class(
     machine: &mut Machine<'_>,
-    frame: &HashMap<Name, Value>,
+    frame: &FxHashMap<Name, Value>,
     ty: &Ty,
 ) -> Result<ClassId, RtError> {
     eval_type_class_in(machine, &|n| frame.get(&n).cloned(), ty)

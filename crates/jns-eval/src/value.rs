@@ -23,8 +23,8 @@
 //! child `Value`s directly, it needs an iterative `Drop` like the one on
 //! `jns_types::CExpr`.
 
-use jns_types::{ClassId, Name};
-use std::collections::{BTreeSet, HashMap};
+use jns_types::{ClassId, FxHashMap, Name};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,18 +55,18 @@ impl MaskId {
 #[derive(Debug)]
 pub struct MaskPool {
     sets: Vec<BTreeSet<Name>>,
-    ids: HashMap<BTreeSet<Name>, MaskId>,
-    grants: HashMap<(MaskId, Name), MaskId>,
-    subsets: HashMap<(MaskId, MaskId), bool>,
+    ids: FxHashMap<BTreeSet<Name>, MaskId>,
+    grants: FxHashMap<(MaskId, Name), MaskId>,
+    subsets: FxHashMap<(MaskId, MaskId), bool>,
 }
 
 impl Default for MaskPool {
     fn default() -> Self {
         MaskPool {
             sets: vec![BTreeSet::new()],
-            ids: HashMap::from([(BTreeSet::new(), MaskId::EMPTY)]),
-            grants: HashMap::new(),
-            subsets: HashMap::new(),
+            ids: FxHashMap::from_iter([(BTreeSet::new(), MaskId::EMPTY)]),
+            grants: FxHashMap::default(),
+            subsets: FxHashMap::default(),
         }
     }
 }

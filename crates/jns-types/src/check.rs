@@ -6,6 +6,7 @@
 //! and `while` restores them.
 
 use crate::env::TypeEnv;
+use crate::fx::FxHashMap;
 use crate::ir::{CExpr, CMethod, CheckedProgram};
 use crate::judge::Judge;
 use crate::names::Name;
@@ -15,7 +16,7 @@ use crate::table::{ClassTable, MethodSig};
 use crate::ty::{ClassId, TPath, Ty, Type};
 use jns_syntax as syn;
 use jns_syntax::{BinOp, PrimTy, Span, UnOp};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Type-checks a parsed program and lowers it to the core IR.
 ///
@@ -88,8 +89,8 @@ pub fn check_with(
         table: &resolved.table,
         sharing: &sharing,
         errors,
-        methods: HashMap::new(),
-        field_inits: HashMap::new(),
+        methods: FxHashMap::default(),
+        field_inits: FxHashMap::default(),
         options,
     };
 
@@ -136,8 +137,8 @@ struct Checker<'t> {
     table: &'t ClassTable,
     sharing: &'t SharingTable,
     errors: Vec<TypeError>,
-    methods: HashMap<(ClassId, Name), CMethod>,
-    field_inits: HashMap<(ClassId, Name), CExpr>,
+    methods: FxHashMap<(ClassId, Name), CMethod>,
+    field_inits: FxHashMap<(ClassId, Name), CExpr>,
     options: CheckOptions,
 }
 
@@ -629,7 +630,10 @@ impl<'c, 't> BodyCx<'c, 't> {
         match e {
             syn::Expr::Int(n, _) => (Ty::Prim(PrimTy::Int).unmasked(), CExpr::Int(*n)),
             syn::Expr::Bool(b, _) => (Ty::Prim(PrimTy::Bool).unmasked(), CExpr::Bool(*b)),
-            syn::Expr::Str(s, _) => (Ty::Prim(PrimTy::Str).unmasked(), CExpr::Str(s.clone())),
+            syn::Expr::Str(s, _) => (
+                Ty::Prim(PrimTy::Str).unmasked(),
+                CExpr::Str(s.as_str().into()),
+            ),
             syn::Expr::Var(x) => {
                 let n = self.table().intern(&x.text);
                 let Some(t) = self.env.var(n).cloned() else {

@@ -5,12 +5,13 @@
 //! the run-time stack (type evaluation contexts `TE`, Fig. 16), which is
 //! how late binding of type names works at run time.
 
+use crate::fx::FxHashMap;
 use crate::names::Name;
 use crate::sharing::SharingTable;
 use crate::table::ClassTable;
 use crate::ty::{ClassId, Ty, Type};
 use jns_syntax::{BinOp, UnOp};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A checked, lowered expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +20,8 @@ pub enum CExpr {
     Int(i64),
     /// Boolean literal.
     Bool(bool),
-    /// String literal.
-    Str(String),
+    /// String literal, shared with every value it evaluates to.
+    Str(Arc<str>),
     /// The unit value.
     Unit,
     /// Variable reference (includes `this`).
@@ -144,9 +145,9 @@ pub struct CheckedProgram {
     /// The sharing structure.
     pub sharing: SharingTable,
     /// Explicit method bodies, keyed by declaring class and name.
-    pub methods: HashMap<(ClassId, Name), CMethod>,
+    pub methods: FxHashMap<(ClassId, Name), CMethod>,
     /// Field initialisers, keyed by declaring class and field.
-    pub field_inits: HashMap<(ClassId, Name), CExpr>,
+    pub field_inits: FxHashMap<(ClassId, Name), CExpr>,
     /// The main expression, if the program has one.
     pub main: Option<CExpr>,
 }

@@ -31,12 +31,11 @@
 //! Γ for the whole pass, so its table is shared across every goal they ask.
 
 use crate::env::TypeEnv;
+use crate::fx::FxHashSet;
 use crate::names::Name;
-use crate::table::{ClassTable, EpochMap, FxHasher};
+use crate::table::{ClassTable, EpochMap};
 use crate::ty::{ClassId, TPath, Ty, Type};
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 
 /// The judgment engine: a class table plus a typing environment.
 pub struct Judge<'a> {
@@ -45,7 +44,7 @@ pub struct Judge<'a> {
     /// The typing environment Γ.
     pub env: &'a TypeEnv,
     /// Subtyping goals open on the current search path.
-    goals: RefCell<HashSet<(Ty, Ty), BuildHasherDefault<FxHasher>>>,
+    goals: RefCell<FxHashSet<(Ty, Ty)>>,
     depth: Cell<u32>,
     /// Cuts taken so far; a goal that leaves it unchanged was cut-free.
     cuts: Cell<u64>,
@@ -67,7 +66,7 @@ impl<'a> Judge<'a> {
         Judge {
             table,
             env,
-            goals: RefCell::new(HashSet::default()),
+            goals: RefCell::new(FxHashSet::default()),
             depth: Cell::new(0),
             cuts: Cell::new(0),
             reach: Cell::new(0),

@@ -14,6 +14,7 @@ mod memo_tests;
 
 pub mod check;
 pub mod env;
+pub mod fx;
 pub mod ir;
 pub mod judge;
 pub mod names;
@@ -24,6 +25,7 @@ pub mod ty;
 
 pub use check::{check, check_with, CheckOptions};
 pub use env::TypeEnv;
+pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ir::{CExpr, CMethod, CheckedProgram};
 pub use judge::Judge;
 pub use names::{Interner, Name};

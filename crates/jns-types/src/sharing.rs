@@ -3,11 +3,12 @@
 //! directional sharing inference (§3.3), and the sharing judgment
 //! `Γ ⊢ T1 ⤳ T2` (Fig. 10, SH-*).
 
+use crate::fx::FxHashMap;
 use crate::judge::Judge;
 use crate::names::Name;
 use crate::table::ClassTable;
 use crate::ty::{ClassId, Ty, Type};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The computed sharing structure of a program.
 ///
@@ -21,14 +22,14 @@ pub struct SharingTable {
     pub declared: Vec<(ClassId, ClassId, BTreeSet<Name>)>,
     /// Sharing-equivalence partners of each class (includes the class
     /// itself; sorted).
-    groups: HashMap<ClassId, Vec<ClassId>>,
+    groups: FxHashMap<ClassId, Vec<ClassId>>,
     /// `fclass(P, f)`: which partner's copy of field `f` a `P`-view reads.
-    fclass: HashMap<(ClassId, Name), ClassId>,
+    fclass: FxHashMap<(ClassId, Name), ClassId>,
     /// Fields that ended up duplicated, per declared pair (for diagnostics).
-    pub duplicated: HashMap<(ClassId, ClassId), BTreeSet<Name>>,
+    pub duplicated: FxHashMap<(ClassId, ClassId), BTreeSet<Name>>,
     /// Forwarding: reading `(view-class, field)` may fall back to the
     /// other family's copy (`fclass` id) through a view change (§3.3).
-    forwards: HashMap<(ClassId, Name), Vec<ClassId>>,
+    forwards: FxHashMap<(ClassId, Name), Vec<ClassId>>,
 }
 
 /// An error discovered while building the sharing table.
@@ -41,14 +42,18 @@ pub struct SharingError {
 }
 
 impl SharingTable {
-    /// The sharing partners of `c` (always contains `c`).
-    pub fn partners(&self, c: ClassId) -> Vec<ClassId> {
-        self.groups.get(&c).cloned().unwrap_or_else(|| vec![c])
+    /// The sharing partners of `c` (always contains `c`; a class that
+    /// shares with no other is its own one-element group, borrowed from
+    /// the argument).
+    pub fn partners<'a>(&'a self, c: &'a ClassId) -> &'a [ClassId] {
+        self.groups
+            .get(c)
+            .map_or(std::slice::from_ref(c), Vec::as_slice)
     }
 
     /// Whether `a` and `b` are shared classes (same instance set).
     pub fn shared(&self, a: ClassId, b: ClassId) -> bool {
-        a == b || self.partners(a).contains(&b)
+        a == b || self.partners(&a).contains(&b)
     }
 
     /// `fclass(P, f)`: the partner class whose copy of `f` a `P`-view uses.
@@ -129,7 +134,7 @@ impl SharingTable {
             st.declared.push((d, b, m));
         }
         // Equivalence groups: reflexive-symmetric-transitive closure.
-        let mut group_of: HashMap<ClassId, usize> = HashMap::new();
+        let mut group_of: FxHashMap<ClassId, usize> = FxHashMap::default();
         let mut groups: Vec<Vec<ClassId>> = Vec::new();
         for (d, b, _) in &st.declared {
             let gd = group_of.get(d).copied();
@@ -175,7 +180,7 @@ impl SharingTable {
         // duplication (own copy) whenever the interpreted field types are
         // not bidirectionally shared, until stable.
         // duplicated[(d)] = set of fields d keeps its own copy of.
-        let mut dup: HashMap<ClassId, BTreeSet<Name>> = HashMap::new();
+        let mut dup: FxHashMap<ClassId, BTreeSet<Name>> = FxHashMap::default();
         for (d, _b, declared_masks) in &st.declared {
             dup.entry(*d)
                 .or_default()
@@ -262,7 +267,7 @@ impl SharingTable {
             })
             .collect();
         let mut candidates: Vec<(ClassId, Name, ClassId)> = Vec::new();
-        let mut forwards: HashMap<(ClassId, Name), Vec<ClassId>> = HashMap::new();
+        let mut forwards: FxHashMap<(ClassId, Name), Vec<ClassId>> = FxHashMap::default();
         for (src, dst) in all_pairs {
             if src == dst {
                 continue;

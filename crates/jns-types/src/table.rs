@@ -13,11 +13,12 @@
 //! by [`crate::Judge::canon`] — are keyed by the table's `Epoch`: its
 //! class count and its `update` count.
 
+use crate::fx::FxHashMap;
 use crate::names::{Interner, Name};
 use crate::ty::{ClassId, TPath, Ty, Type};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// A field declaration, resolved.
@@ -92,48 +93,6 @@ pub(crate) struct Epoch {
     classes: usize,
     updates: u64,
 }
-
-/// The FxHash multiplicative hasher. The judgment caches key on whole
-/// types, which the default SipHash makes cost more to look up than many
-/// of the answers they hold do to compute. The keys are built by the
-/// checker from interned names and class ids numbered in order of
-/// appearance, not taken from input bytes.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` with [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A cache whose entries are valid for one [`Epoch`]: reading at any other
 /// epoch misses, and the first insertion at a new epoch drops the rest.

@@ -77,7 +77,7 @@ pub fn compile_with(prog: &CheckedProgram, opts: CompileOptions) -> VmProgram {
     // type-evaluation machinery, so the hot path never re-evaluates them.
     {
         let mut scratch = jns_eval::Machine::new(prog);
-        let empty = HashMap::new();
+        let empty = jns_types::FxHashMap::default();
         for entry in &mut c.types {
             if !entry.ty.is_non_dependent() {
                 continue;
@@ -207,7 +207,7 @@ struct Compiler<'p> {
     prog: &'p CheckedProgram,
     chunks: Vec<Chunk>,
     strings: Vec<Arc<str>>,
-    string_ids: HashMap<String, u32>,
+    string_ids: HashMap<Arc<str>, u32>,
     types: Vec<PendingType>,
     type_ids: HashMap<TypeKey, u32>,
     n_field_ics: u32,
@@ -277,13 +277,15 @@ impl<'p> Compiler<'p> {
         idx
     }
 
-    fn string_id(&mut self, s: &str) -> u32 {
+    /// The string-table index of a literal; the table shares the
+    /// literal's `Arc`.
+    fn string_id(&mut self, s: &Arc<str>) -> u32 {
         if let Some(&id) = self.string_ids.get(s) {
             return id;
         }
         let id = self.strings.len() as u32;
-        self.strings.push(Arc::from(s));
-        self.string_ids.insert(s.to_string(), id);
+        self.strings.push(s.clone());
+        self.string_ids.insert(s.clone(), id);
         id
     }
 

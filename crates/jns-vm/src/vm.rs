@@ -21,13 +21,16 @@
 //! 3. **Memoised view changes over interned masks** (§6.3). The `view`
 //!    function's two questions — "is the current view already
 //!    compatible?" and "which partner sits under the target?" — depend
-//!    only on (view, target type), so both are memoised, as is the
-//!    interpreted field type that drives lazy implicit view changes.
-//!    Mask sets are interned in the VM's [`MaskPool`] and references
-//!    carry a `u32` [`MaskId`], so [`RefVal`] is `Copy`: loading a
-//!    reference, re-viewing it, and the mask-subset test (an id compare
-//!    in the common case, memoised otherwise) move plain words. The pool
-//!    is a monotone cache that survives [`Vm::reset_for_request`].
+//!    only on (view, target type), so both are memoised, as are the
+//!    interpreted field type that drives lazy implicit view changes,
+//!    `mbody` and each class's allocation plan. The memo is the
+//!    run-time [`Resolver`] of `jns-eval`, the same one the tree-walker
+//!    owns; the VM consults it only on inline-cache misses. Mask sets
+//!    are interned in the resolver's pool and references carry a `u32`
+//!    [`MaskId`], so [`RefVal`] is `Copy`: loading a reference,
+//!    re-viewing it, and the mask-subset test (an id compare in the
+//!    common case, memoised otherwise) move plain words. The resolver is
+//!    a monotone cache that survives [`Vm::reset_for_request`].
 //!
 //! Observable behaviour (printed output, final value, error variants and
 //! messages) matches the tree-walking interpreter; the differential suite
@@ -40,10 +43,10 @@
 //! [`RtError::OutOfFuel`]).
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
-use jns_eval::{Heap, Loc, MaskId, MaskPool, RefVal, RtError, Stats, Value, DEFAULT_MAX_DEPTH};
+use jns_eval::{Heap, Loc, MaskId, RefVal, Resolver, RtError, Stats, Value, DEFAULT_MAX_DEPTH};
 use jns_syntax::{BinOp, UnOp};
-use jns_types::{CheckedProgram, ClassId, Judge, Name, Ty, TypeEnv};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use jns_types::{CheckedProgram, ClassId, FxHashMap, Name, Ty};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Inline caches grow up to this many view entries before becoming
@@ -54,7 +57,7 @@ const IC_CAP: usize = 8;
 /// `(fclass-owner, field)` of every partner gets a fixed slot.
 #[derive(Debug)]
 struct Layout {
-    slots: HashMap<(ClassId, Name), u32>,
+    slots: FxHashMap<(ClassId, Name), u32>,
     n_slots: u32,
 }
 
@@ -68,9 +71,9 @@ struct FieldRes {
     /// §3.3 forwarding fallbacks, pre-resolved to slots.
     alts: Box<[(ClassId, Option<u32>)]>,
     /// The interpreted field type driving the lazy implicit view change:
-    /// interned canonical type + interned mask set (`Err` = the `BadType`
-    /// message).
-    ft: Result<(u32, MaskId), String>,
+    /// interned canonical type + interned mask set, from the resolver
+    /// (`Err` = its `BadType` error).
+    ft: Result<(u32, MaskId), RtError>,
 }
 
 /// Resolved write path for a (view, field) pair.
@@ -78,13 +81,6 @@ struct FieldRes {
 struct SetRes {
     copy: ClassId,
     slot: Option<u32>,
-}
-
-/// Why a memoised partner search failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PartnerErr {
-    NoneFound,
-    Ambiguous,
 }
 
 /// The explicit execution state of one activation — the chunk, program
@@ -128,7 +124,7 @@ struct Sampler {
     /// Instructions until the next sample.
     countdown: u64,
     /// Samples keyed by the frame-stack chunk-id path, outermost first.
-    stacks: HashMap<Vec<u32>, u64>,
+    stacks: FxHashMap<Vec<u32>, u64>,
     /// Total samples taken (sum of all stack counts).
     taken: u64,
 }
@@ -186,27 +182,20 @@ pub struct Vm<'p> {
     call_ics: Vec<Vec<(ClassId, Option<usize>)>>,
     /// Global (view, field) read resolutions backing the site caches, as
     /// indices into `field_paths`.
-    field_res: HashMap<(ClassId, Name), u32>,
+    field_res: FxHashMap<(ClassId, Name), u32>,
     /// Every resolved read path, in resolution order.
     field_paths: Vec<FieldRes>,
-    /// Global (view, method) dispatch results backing the site caches.
-    dispatch: HashMap<(ClassId, Name), Option<usize>>,
     /// Union layouts per class (shared per sharing group).
-    layouts: HashMap<ClassId, Arc<Layout>>,
-    /// Interned runtime types (targets of views/casts/implicit re-views).
-    ty_pool: Vec<Ty>,
-    ty_ids: HashMap<Ty, u32>,
-    /// Memoised `view! ≤ target` checks.
-    sub_memo: HashMap<(ClassId, u32), bool>,
-    /// Memoised unique-partner-under-target searches.
-    partner_memo: HashMap<(ClassId, u32), Result<ClassId, PartnerErr>>,
+    layouts: FxHashMap<ClassId, Arc<Layout>>,
     /// Per type-table entry: interned pre-evaluated (target, full mask
     /// set — dependent ∪ declared).
     pre_view: Vec<Option<(u32, MaskId)>>,
-    /// Interned mask sets of every reference this VM creates: each
-    /// distinct set is materialised once (`Stats::mask_allocs`) and
-    /// shared by id after.
-    mask_pool: MaskPool,
+    /// The run-time resolver shared with the tree-walker: interned types,
+    /// memoised view changes, field types, `mbody` owners and allocation
+    /// plans, and the pool of interned mask sets of every reference this
+    /// VM creates (each distinct set is materialised once,
+    /// `Stats::mask_allocs`, and shared by id after).
+    res: Resolver<'p>,
     /// Executed-instruction counter per chunk (profiling hook; survives
     /// `reset_for_request` so a worker accumulates a profile).
     chunk_steps: Vec<u64>,
@@ -247,16 +236,11 @@ impl<'p> Vm<'p> {
             field_ics: (0..code.n_field_ics).map(|_| Vec::new()).collect(),
             set_ics: (0..code.n_set_ics).map(|_| Vec::new()).collect(),
             call_ics: (0..code.n_call_ics).map(|_| Vec::new()).collect(),
-            field_res: HashMap::new(),
+            field_res: FxHashMap::default(),
             field_paths: Vec::new(),
-            dispatch: HashMap::new(),
-            layouts: HashMap::new(),
-            ty_pool: Vec::new(),
-            ty_ids: HashMap::new(),
-            sub_memo: HashMap::new(),
-            partner_memo: HashMap::new(),
+            layouts: FxHashMap::default(),
             pre_view: vec![None; code.types.len()],
-            mask_pool: MaskPool::default(),
+            res: Resolver::new(prog),
             chunk_steps: vec![0; code.chunks.len()],
             field_ic_hm: vec![[0; 2]; code.n_field_ics as usize],
             set_ic_hm: vec![[0; 2]; code.n_set_ics as usize],
@@ -300,7 +284,7 @@ impl<'p> Vm<'p> {
         self.sampler = Some(Sampler {
             stride,
             countdown: stride,
-            stacks: HashMap::new(),
+            stacks: FxHashMap::default(),
             taken: 0,
         });
     }
@@ -601,6 +585,11 @@ impl<'p> Vm<'p> {
     /// Number of live heap objects (for tests).
     pub fn heap_size(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The VM's run-time resolver (for audits of its memo tables).
+    pub fn resolver(&self) -> &Resolver<'p> {
+        &self.res
     }
 
     /// The sampler's per-instruction hook: decrements the countdown and,
@@ -971,7 +960,7 @@ impl<'p> Vm<'p> {
         // The interned mask set already includes the masks declared on
         // the source type.
         let (tid, masks) = self.eval_type_interned(ty, &st.locals)?;
-        let out = self.apply_view(r, tid, masks)?;
+        let out = self.res.apply_view(r, tid, masks)?;
         st.stack.push(Value::Ref(out));
         Ok(Flow::Next)
     }
@@ -982,13 +971,13 @@ impl<'p> Vm<'p> {
         match v {
             Value::Ref(r) => {
                 let (tid, _masks) = self.eval_type_interned(ty, &st.locals)?;
-                if self.view_subtype(r.view, tid) {
+                if self.res.view_subtype(r.view, tid) {
                     st.stack.push(Value::Ref(r));
                 } else {
                     return Err(RtError::CastFailed(format!(
                         "view `{}` is not a `{}`",
                         self.prog.table.class_name(r.view),
-                        self.prog.table.show_ty(&self.ty_pool[tid as usize])
+                        self.prog.table.show_ty(self.res.ty(tid))
                     )));
                 }
             }
@@ -1100,12 +1089,9 @@ impl<'p> Vm<'p> {
         match stored {
             Value::Ref(inner) => {
                 // Lazy implicit view change at the interpreted field type.
-                let (tid, masks) = match &res.ft {
-                    Ok(ft) => *ft,
-                    Err(m) => return Err(RtError::BadType(m.clone())),
-                };
+                let (tid, masks) = res.ft.clone()?;
                 self.stats.views_implicit += 1;
-                self.apply_view(inner, tid, masks).map(Value::Ref)
+                self.res.apply_view(inner, tid, masks).map(Value::Ref)
             }
             prim => Ok(prim),
         }
@@ -1140,13 +1126,8 @@ impl<'p> Vm<'p> {
             .iter()
             .map(|&alt| (alt, layout.slots.get(&(alt, f)).copied()))
             .collect();
-        let ft = match self.field_view_type(view, f) {
-            Ok((ty, masks)) => {
-                let tid = self.intern_ty(ty);
-                Ok((tid, self.intern_masks(masks)))
-            }
-            Err(m) => Err(m),
-        };
+        let (ft, fresh) = self.res.field_type(view, f);
+        self.stats.mask_allocs += u64::from(fresh);
         let res = self.field_paths.len() as u32;
         self.field_paths.push(FieldRes {
             copy,
@@ -1158,16 +1139,6 @@ impl<'p> Vm<'p> {
         res
     }
 
-    /// The field type of `f` interpreted in `view` (the type driving the
-    /// lazy implicit view change), canonicalised.
-    fn field_view_type(&self, view: ClassId, f: Name) -> Result<(Ty, BTreeSet<Name>), String> {
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let recv = Ty::Class(view).exact().unmasked();
-        let ft = judge.ftype(&recv, f)?;
-        Ok((judge.canon(&ft.ty), ft.masks))
-    }
-
     // -------------------------------------------------------------- layout
 
     /// The union layout of `class`'s sharing group (built once per group).
@@ -1175,10 +1146,10 @@ impl<'p> Vm<'p> {
         if let Some(l) = self.layouts.get(&class) {
             return l.clone();
         }
-        let partners = self.prog.sharing.partners(class);
-        let mut slots: HashMap<(ClassId, Name), u32> = HashMap::new();
+        let partners = self.prog.sharing.partners(&class);
+        let mut slots: FxHashMap<(ClassId, Name), u32> = FxHashMap::default();
         let mut n = 0u32;
-        for &v in &partners {
+        for &v in partners {
             for &f in self.prog.table.field_names(v).iter() {
                 let copy = self.prog.sharing.fclass(v, f);
                 slots.entry((copy, f)).or_insert_with(|| {
@@ -1188,7 +1159,7 @@ impl<'p> Vm<'p> {
             }
         }
         let layout = Arc::new(Layout { slots, n_slots: n });
-        for &v in &partners {
+        for &v in partners {
             self.layouts.insert(v, layout.clone());
         }
         self.layouts.insert(class, layout.clone());
@@ -1250,21 +1221,20 @@ impl<'p> Vm<'p> {
         // not exist yet.
         self.maybe_gc();
         let loc = self.heap.alloc(layout.n_slots);
-        let all_fields = self.prog.table.fields_of(class);
-        // `this` during initialisation: all fields masked (F-OK).
-        self.stats.mask_allocs += 1;
-        let mut masks = self.intern_masks(all_fields.iter().map(|(_, fi)| fi.name).collect());
+        // `this` during initialisation: all fields masked (F-OK); a fresh
+        // F-OK set counts once more.
+        let (plan, fresh) = self.res.alloc_plan(class);
+        self.stats.mask_allocs += 1 + u64::from(fresh);
+        let mut masks = self.res.plan(plan).fok;
         let scope = self.alloc_stack.len() - 1;
         self.alloc_stack[scope].this_ref = Some(RefVal {
             loc,
             view: class,
             masks,
         });
-        for (owner, fi) in all_fields.iter().rev() {
-            if !fi.has_init {
-                continue;
-            }
-            let Some(&chunk) = self.code.field_inits.get(&(*owner, fi.name)) else {
+        for i in 0..self.res.plan(plan).inits.len() {
+            let (owner, fname, _) = self.res.plan(plan).inits[i];
+            let Some(&chunk) = self.code.field_inits.get(&(owner, fname)) else {
                 continue;
             };
             let this_ref = self.alloc_stack[scope].this_ref.expect("in-flight this");
@@ -1288,17 +1258,17 @@ impl<'p> Vm<'p> {
                 .as_ref()
                 .expect("in-flight this")
                 .loc;
-            let copy = self.prog.sharing.fclass(class, fi.name);
-            let slot = layout.slots.get(&(copy, fi.name)).copied();
-            self.write_cell(loc, copy, slot, fi.name, v);
-            masks = self.grant_mask(masks, fi.name);
+            let copy = self.prog.sharing.fclass(class, fname);
+            let slot = layout.slots.get(&(copy, fname)).copied();
+            self.write_cell(loc, copy, slot, fname, v);
+            masks = self.grant_mask(masks, fname);
         }
         Ok(masks)
     }
 
     // -------------------------------------------------------------- calls
 
-    /// Per-site call cache in front of the global dispatch table.
+    /// Per-site call cache in front of the resolver's `mbody` memo.
     fn site_call_res(&mut self, ic: u32, view: ClassId, m: Name) -> Option<usize> {
         let site = &self.call_ics[ic as usize];
         for (v, c) in site {
@@ -1353,47 +1323,19 @@ impl<'p> Vm<'p> {
         out
     }
 
-    /// `mbody(S, m)` as a chunk index: BFS over supers from the view,
-    /// first class with an explicit body wins. Memoised per (view, m).
+    /// `mbody(S, m)` as a chunk index: the resolver's owner, lowered.
     fn resolve_method(&mut self, view: ClassId, m: Name) -> Option<usize> {
-        if let Some(&r) = self.dispatch.get(&(view, m)) {
-            return r;
-        }
-        let mut queue = std::collections::VecDeque::from([view]);
-        let mut seen = std::collections::HashSet::from([view]);
-        let mut found = None;
-        while let Some(q) = queue.pop_front() {
-            if let Some(&c) = self.code.methods.get(&(q, m)) {
-                found = Some(c);
-                break;
-            }
-            for s in self.prog.table.direct_supers(q) {
-                if seen.insert(s) {
-                    queue.push_back(s);
-                }
-            }
-        }
-        self.dispatch.insert((view, m), found);
-        found
+        let (owner, _) = self.res.mbody(view, m)?;
+        self.code.methods.get(&(owner, m)).copied()
     }
 
     // -------------------------------------------------------------- views
-
-    fn intern_ty(&mut self, t: Ty) -> u32 {
-        if let Some(&id) = self.ty_ids.get(&t) {
-            return id;
-        }
-        let id = self.ty_pool.len() as u32;
-        self.ty_pool.push(t.clone());
-        self.ty_ids.insert(t, id);
-        id
-    }
 
     /// Interns a runtime-computed mask set: a fresh pool entry counts as
     /// a materialisation (`Stats::mask_allocs`), every later occurrence
     /// shares its id.
     fn intern_masks(&mut self, masks: BTreeSet<Name>) -> MaskId {
-        let (m, fresh) = self.mask_pool.intern(masks);
+        let (m, fresh) = self.res.masks.intern(masks);
         if fresh {
             self.stats.mask_allocs += 1;
         }
@@ -1403,45 +1345,11 @@ impl<'p> Vm<'p> {
     /// `grant(σ, x.f)` on an interned set, counted like
     /// [`Vm::intern_masks`].
     fn grant_mask(&mut self, masks: MaskId, f: Name) -> MaskId {
-        let (m, fresh) = self.mask_pool.grant(masks, f);
+        let (m, fresh) = self.res.masks.grant(masks, f);
         if fresh {
             self.stats.mask_allocs += 1;
         }
         m
-    }
-
-    /// Whether `view! ≤ target` (memoised on the interned target).
-    fn view_subtype(&mut self, view: ClassId, tid: u32) -> bool {
-        if let Some(&b) = self.sub_memo.get(&(view, tid)) {
-            return b;
-        }
-        let target = self.ty_pool[tid as usize].clone();
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let b = judge.sub_pure(&Ty::Class(view).exact(), &target);
-        self.sub_memo.insert((view, tid), b);
-        b
-    }
-
-    /// The unique sharing partner of `view` under `target` (memoised).
-    fn partner_for(&mut self, view: ClassId, tid: u32) -> Result<ClassId, PartnerErr> {
-        if let Some(r) = self.partner_memo.get(&(view, tid)) {
-            return *r;
-        }
-        let partners = self.prog.sharing.partners(view);
-        let mut candidates = Vec::new();
-        for p in partners {
-            if p != view && self.view_subtype(p, tid) {
-                candidates.push(p);
-            }
-        }
-        let r = match candidates.len() {
-            1 => Ok(candidates[0]),
-            0 => Err(PartnerErr::NoneFound),
-            _ => Err(PartnerErr::Ambiguous),
-        };
-        self.partner_memo.insert((view, tid), r);
-        r
     }
 
     /// Public view change (mirrors `Machine::apply_view`): re-views `r`
@@ -1452,40 +1360,9 @@ impl<'p> Vm<'p> {
         target: &Ty,
         masks: BTreeSet<Name>,
     ) -> Result<RefVal, RtError> {
-        let tid = self.intern_ty(target.clone());
+        let tid = self.res.intern_ty(target);
         let masks = self.intern_masks(masks);
-        self.apply_view(r, tid, masks)
-    }
-
-    /// The `view` function (§4.15), memoised: re-views `r` at the interned
-    /// target type with an interned mask set.
-    fn apply_view(&mut self, r: RefVal, tid: u32, masks: MaskId) -> Result<RefVal, RtError> {
-        // Case 1: current view already compatible.
-        if self.view_subtype(r.view, tid) && self.mask_pool.is_subset(r.masks, masks) {
-            return Ok(RefVal {
-                loc: r.loc,
-                view: r.view,
-                masks,
-            });
-        }
-        // Case 2: the unique shared partner below the target.
-        match self.partner_for(r.view, tid) {
-            Ok(p) => Ok(RefVal {
-                loc: r.loc,
-                view: p,
-                masks,
-            }),
-            Err(PartnerErr::NoneFound) => Err(RtError::ViewFailed(format!(
-                "`{}` has no shared view under `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(&self.ty_pool[tid as usize])
-            ))),
-            Err(PartnerErr::Ambiguous) => Err(RtError::ViewFailed(format!(
-                "ambiguous view change from `{}` to `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(&self.ty_pool[tid as usize])
-            ))),
-        }
+        self.res.apply_view(r, tid, masks)
     }
 
     // ---------------------------------------------------------- type eval
@@ -1510,7 +1387,7 @@ impl<'p> Vm<'p> {
             None => self.eval_type_rt(tidx, locals)?,
         };
         masks.extend(entry.masks.iter().copied());
-        let out = (self.intern_ty(ty), self.intern_masks(masks));
+        let out = (self.res.intern_ty(&ty), self.intern_masks(masks));
         if entry.pre.is_some() {
             self.pre_view[tidx as usize] = Some(out);
         }
@@ -1526,7 +1403,7 @@ impl<'p> Vm<'p> {
         locals: &[Value],
     ) -> Result<(Ty, BTreeSet<Name>), RtError> {
         let entry = &self.code.types[tidx as usize];
-        let mut env: HashMap<Name, Value> = HashMap::new();
+        let mut env: FxHashMap<Name, Value> = FxHashMap::default();
         for (n, slot) in &entry.bindings {
             if let Some(s) = slot {
                 env.insert(*n, locals[*s as usize].clone());
@@ -1543,7 +1420,7 @@ impl<'p> Vm<'p> {
             return Ok(c);
         }
         let entry = &self.code.types[tidx as usize];
-        let mut env: HashMap<Name, Value> = HashMap::new();
+        let mut env: FxHashMap<Name, Value> = FxHashMap::default();
         for (n, slot) in &entry.bindings {
             if let Some(s) = slot {
                 env.insert(*n, locals[*s as usize].clone());
@@ -1601,12 +1478,8 @@ impl jns_eval::typeeval::TypeEvalCtx for Vm<'_> {
         self.get_field(r, f)
     }
 
-    fn mask_set(&self, id: MaskId) -> &BTreeSet<Name> {
-        self.mask_pool.get(id)
-    }
-
-    fn checked_program(&self) -> &CheckedProgram {
-        self.prog
+    fn resolver(&self) -> &Resolver<'_> {
+        &self.res
     }
 }
 
